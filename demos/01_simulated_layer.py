@@ -7,15 +7,8 @@ from domain d send almost all gate mass to domain-d specialists.
 
 import numpy as np
 
-from moe_prune import (
-    PlantedSpec,
-    forward_full,
-    forward_single,
-    forward_subset,
-    gate,
-    generate_calibration,
-    generate_layer,
-)
+from moe_prune import PlantedSpec, generate_calibration, generate_layer
+from moe_prune.moe_sim import forward_subset_batch, gate_batch
 
 spec = PlantedSpec(
     n_domains=3,
@@ -39,13 +32,13 @@ for d in range(3):
     row = cache.gate_probs[cache.source_domain == d].mean(axis=0)
     print(f"  domain {d}: {np.round(row, 3)}")
 
-x = cache.inputs[0]  # a domain-0 token
-print(f"\none domain-0 token: gate = {np.round(gate(layer, x), 4)}")
+x = cache.inputs[:1]  # a batch of one domain-0 token
+print(f"\none domain-0 token: gate = {np.round(gate_batch(layer, x)[0], 4)}")
 print("full layer output (top-2 routed) first 4 dims:",
-      np.round(forward_full(layer, x)[:4], 4))
+      np.round(forward_subset_batch(layer, range(8), x)[0, :4], 4))
 print("expert 0 alone (weight forced to 1) first 4 dims:",
-      np.round(forward_single(layer, 0, x)[:4], 4))
+      np.round(layer.experts[0].apply(x)[0, :4], 4))
 print("pruned to {0, 6, 7} first 4 dims:              ",
-      np.round(forward_subset(layer, [0, 6, 7], x)[:4], 4))
+      np.round(forward_subset_batch(layer, [0, 6, 7], x)[0, :4], 4))
 print("\nkeeping every expert reproduces the full layer exactly:",
-      np.array_equal(forward_subset(layer, range(8), x), forward_full(layer, x)))
+      np.array_equal(forward_subset_batch(layer, range(8), cache.inputs), cache.outputs_full))

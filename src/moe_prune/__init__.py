@@ -14,6 +14,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# Pruning strategies by name. Defined here, not in prune, so the command-line
+# parser can list them without importing numpy.
+METHODS = ("random", "frequency", "enum_exhaustive", "enum_greedy", "gvp", "mop")
+
 _EXPORTS = {
     "tensor_store": [
         "ArchiveError",
@@ -28,10 +32,6 @@ _EXPORTS = {
         "PlantedSpec",
         "cache_from_inputs",
         "domain_centroids",
-        "forward_full",
-        "forward_single",
-        "forward_subset",
-        "gate",
         "generate_calibration",
         "generate_layer",
         "load_cache",
@@ -57,7 +57,6 @@ _EXPORTS = {
         "ward_partition",
     ],
     "prune": [
-        "METHODS",
         "PruningPlan",
         "load_plan",
         "prune_enum",
@@ -82,7 +81,7 @@ _NAME_TO_MODULE = {
     name: module for module, names in _EXPORTS.items() for name in names
 }
 
-__all__ = sorted(_NAME_TO_MODULE) + ["__version__"]
+__all__ = sorted(_NAME_TO_MODULE) + ["METHODS", "__version__"]
 
 
 def __getattr__(name):

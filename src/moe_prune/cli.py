@@ -3,11 +3,11 @@
 Each stage reads/writes tensor-store archives so runs are cacheable and
 independently re-runnable. A JSON config file supplies defaults; flags
 win over the config. Every output directory gets a provenance.json
-recording the effective config, seeds, and tool version. On failure the
-files written by the failing command are removed and the exit status is
-nonzero. The MOP_THREADS environment variable caps BLAS parallelism
-(it must be set before numpy is first imported, which the console
-entry point guarantees).
+recording the effective config, seeds, and tool version. On failure or
+interrupt the files written by the failing command are removed and the
+exit status is nonzero. The MOP_THREADS environment variable caps BLAS
+parallelism (it must be set before numpy is first imported, which the
+console entry point guarantees).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+from . import METHODS
+
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -26,9 +28,7 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-METHOD_CHOICES = (
-    "random", "frequency", "enum", "enum_exhaustive", "enum_greedy", "gvp", "mop",
-)
+METHOD_CHOICES = METHODS + ("enum",)
 
 DEFAULT_CONFIG = {
     "model": {
@@ -361,8 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     outputs = _Outputs()
     try:
         return args.func(args, outputs)
-    except (ConfigError, ValueError, OSError, KeyError) as exc:
+    except BaseException as exc:  # Ctrl-C too leaves no half-written outputs
         outputs.discard_all()
+        if not isinstance(exc, (ConfigError, ValueError, OSError, KeyError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

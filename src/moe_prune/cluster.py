@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor_store
 from .metrics import PerformanceMatrix
 
 
@@ -46,7 +45,6 @@ class ExpertPartition:
 
     groups: list[list[int]]
     merge_trace: list[tuple[tuple[int, ...], tuple[int, ...], float]]
-    distance_diag: np.ndarray | None = None  # 1 - similarity, diagnostic only
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -60,9 +58,6 @@ class ExpertPartition:
         for _, _, cost in self.merge_trace:
             if cost < 0:
                 raise ValueError("merge costs must be nonnegative")
-
-    def member_set(self) -> set[int]:
-        return {i for group in self.groups for i in group}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,7 @@ def ward_partition(
     increase in total error sum of squares,
     |a||b|/(|a|+|b|) * ||mean_a - mean_b||^2, ties resolved by the
     lexicographically smallest (min member of a, min member of b). The
-    1 - similarity matrix rides along as a diagnostic only.
+    similarity matrix only has to describe the same candidates.
     """
     ids = [int(i) for i in sim.candidate_ids]
     if list(perf.candidate_ids) != ids:
@@ -293,84 +288,5 @@ def ward_partition(
         members = [members[i] for i in order]
         centroids = [centroids[i] for i in order]
 
-    return ExpertPartition(
-        groups=members,
-        merge_trace=trace,
-        distance_diag=1.0 - sim.s,
-    )
+    return ExpertPartition(groups=members, merge_trace=trace)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_labeling(labeling: DomainLabeling, path: str):
-    return tensor_store.write_archive(
-        path,
-        [("labels", labeling.labels), ("centroids", labeling.centroids)],
-        {
-            "kind": "domain_labeling",
-            "wcss": repr(labeling.wcss),
-            "iterations_run": str(labeling.iterations_run),
-        },
-    )
-
-
-def load_labeling(path: str) -> DomainLabeling:
-    manifest, arrays = tensor_store.read_archive(path)
-    if manifest.metadata.get("kind") != "domain_labeling":
-        raise tensor_store.ArchiveError("archive does not hold a domain_labeling")
-    return DomainLabeling(
-        labels=arrays["labels"],
-        centroids=arrays["centroids"].astype(np.float64),
-        wcss=float(manifest.metadata["wcss"]),
-        iterations_run=int(manifest.metadata["iterations_run"]),
-    )
-
-
-def encode_groups(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged encoding: offsets[i]..offsets[i+1] index members of group i."""
-    offsets = np.zeros(len(groups) + 1, dtype=np.int32)
-    flat: list[int] = []
-    for i, group in enumerate(groups):
-        flat.extend(group)
-        offsets[i + 1] = len(flat)
-    return offsets, np.asarray(flat, dtype=np.int32)
-
-
-def decode_groups(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    return [
-        [int(x) for x in flat[offsets[i] : offsets[i + 1]]]
-        for i in range(len(offsets) - 1)
-    ]
-
-
-def save_partition(partition: ExpertPartition, sim: SimilarityMatrix, path: str):
-    offsets, flat = encode_groups(partition.groups)
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("groups_offsets", offsets),
-        ("groups_members", flat),
-        ("similarity", sim.s),
-        ("candidate_ids", sim.candidate_ids),
-    ]
-    if partition.distance_diag is not None:
-        arrays.append(("distance_diag", partition.distance_diag))
-    return tensor_store.write_archive(path, arrays, {"kind": "expert_partition"})
-
-
-def load_partition(path: str) -> tuple[ExpertPartition, SimilarityMatrix]:
-    manifest, arrays = tensor_store.read_archive(path)
-    if manifest.metadata.get("kind") != "expert_partition":
-        raise tensor_store.ArchiveError("archive does not hold an expert_partition")
-    partition = ExpertPartition(
-        groups=decode_groups(arrays["groups_offsets"], arrays["groups_members"]),
-        merge_trace=[],  # the trace is not archived; groups and costs diagnostics are
-        distance_diag=arrays.get("distance_diag", np.asarray([])).astype(np.float64)
-        if "distance_diag" in arrays
-        else None,
-    )
-    sim = SimilarityMatrix(
-        s=arrays["similarity"].astype(np.float64),
-        candidate_ids=arrays["candidate_ids"],
-    )
-    return partition, sim

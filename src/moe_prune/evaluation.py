@@ -33,7 +33,7 @@ class EvalReport:
     domain_token_counts: np.ndarray   # [D]
     n_tokens: int
     coverage: float | None            # needs planted ground truth on the layer
-    heatmap: np.ndarray               # [D, n_layers, |kept|] mean deployed gate weights
+    heatmap: np.ndarray               # [D, |kept|] mean deployed gate weights
     seed: int | None = None
 
     def mean_domain_loss(self) -> float:
@@ -77,11 +77,9 @@ def evaluate_plan(
         [per_token[source == d].sum() for d in range(n_domains)], dtype=np.float64
     )
 
-    weights, kept_idx = subset_gate_weights(layer, plan.kept, heldout.inputs)
+    weights, _ = subset_gate_weights(layer, plan.kept, heldout.inputs)
     weights = weights.astype(np.float64)
-    heatmap = np.empty((n_domains, 1, kept_idx.size), dtype=np.float64)
-    for d in range(n_domains):
-        heatmap[d, 0] = weights[source == d].mean(axis=0)
+    heatmap = np.stack([weights[source == d].mean(axis=0) for d in range(n_domains)])
 
     return EvalReport(
         method=plan.method,
@@ -188,7 +186,7 @@ def comparison_to_text(rows: list[dict]) -> str:
 
 
 def export_heatmap_csv(report: EvalReport, path_prefix: str | os.PathLike) -> list[str]:
-    """One CSV per domain: rows are layers, columns the retained experts."""
+    """One CSV per domain: one row (layer 0), columns the retained experts."""
     path_prefix = os.fspath(path_prefix)
     written: list[str] = []
     n_domains = report.heatmap.shape[0]
@@ -196,10 +194,8 @@ def export_heatmap_csv(report: EvalReport, path_prefix: str | os.PathLike) -> li
     for d in range(n_domains):
         out = path_prefix + f"_domain{d}.csv"
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for layer_idx in range(report.heatmap.shape[1]):
-                cells = ",".join(f"{v:.6f}" for v in report.heatmap[d, layer_idx])
-                fh.write(f"{layer_idx},{cells}\n")
+            cells = ",".join(f"{v:.6f}" for v in report.heatmap[d])
+            fh.write(f"{header}\n0,{cells}\n")
         written.append(out)
     return written
 

@@ -16,13 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import tensor_store
-from .moe_sim import (
-    CalibrationCache,
-    MoELayer,
-    forward_single_batch,
-    forward_subset_batch,
-)
+from .moe_sim import CalibrationCache, MoELayer, forward_subset_batch
 
 
 @dataclass
@@ -30,10 +24,6 @@ class VariabilityScores:
     scores: np.ndarray  # [n_experts], bits, >= 0
     z: np.ndarray       # [n_experts], per-expert total gate mass
     n_total: int
-
-    def ranked(self) -> np.ndarray:
-        """Expert indices by score descending, ties to the lower index."""
-        return np.argsort(-self.scores, kind="stable")
 
 
 @dataclass
@@ -133,46 +123,9 @@ def performance_matrix(
     target = cache.outputs_full.astype(np.float64)
     errors = np.empty((ids.size, n_domains), dtype=np.float64)
     for row, expert in enumerate(ids):
-        out = forward_single_batch(layer, int(expert), cache.inputs).astype(np.float64)
+        out = layer.experts[int(expert)].apply(cache.inputs).astype(np.float64)
         per_token = ((out - target) ** 2).sum(axis=1)
         for k in range(n_domains):
             errors[row, k] = per_token[labels == k].mean()
     return PerformanceMatrix(errors=errors, domain_sizes=sizes, candidate_ids=ids)
 
-
-def save_variability_scores(scores: VariabilityScores, path: str):
-    return tensor_store.write_archive(
-        path,
-        [("s_var", scores.scores), ("z", scores.z)],
-        {"kind": "variability_scores", "n_total": str(scores.n_total)},
-    )
-
-
-def load_variability_scores(path: str) -> VariabilityScores:
-    manifest, arrays = tensor_store.read_archive(path)
-    return VariabilityScores(
-        scores=arrays["s_var"].astype(np.float64),
-        z=arrays["z"].astype(np.float64),
-        n_total=int(manifest.metadata["n_total"]),
-    )
-
-
-def save_performance_matrix(perf: PerformanceMatrix, path: str):
-    return tensor_store.write_archive(
-        path,
-        [
-            ("perf_errors", perf.errors),
-            ("domain_sizes", perf.domain_sizes),
-            ("candidate_ids", perf.candidate_ids),
-        ],
-        {"kind": "performance_matrix"},
-    )
-
-
-def load_performance_matrix(path: str) -> PerformanceMatrix:
-    _, arrays = tensor_store.read_archive(path)
-    return PerformanceMatrix(
-        errors=arrays["perf_errors"].astype(np.float64),
-        domain_sizes=arrays["domain_sizes"],
-        candidate_ids=arrays["candidate_ids"],
-    )

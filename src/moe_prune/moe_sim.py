@@ -305,12 +305,6 @@ def gate_batch(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def gate(layer: MoELayer, x: np.ndarray) -> np.ndarray:
-    """Full gate distribution for one token (sums to 1, never top-k masked)."""
-    x = _as_f32("x", np.asarray(x), 1)
-    return gate_batch(layer, x[None, :])[0]
-
-
 def _normalize_kept(layer: MoELayer, kept: Iterable[int]) -> np.ndarray:
     idx = np.asarray(sorted(int(i) for i in kept), dtype=np.int64)
     if idx.size == 0:
@@ -364,35 +358,6 @@ def forward_subset_batch(
     return out
 
 
-def forward_subset(layer: MoELayer, kept: Iterable[int], x: np.ndarray) -> np.ndarray:
-    x = _as_f32("x", np.asarray(x), 1)
-    return forward_subset_batch(layer, kept, x[None, :])[0]
-
-
-def forward_full_batch(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
-    return forward_subset_batch(layer, range(layer.n_experts), inputs)
-
-
-def forward_full(layer: MoELayer, x: np.ndarray) -> np.ndarray:
-    """Original-layer output: top-k routed, renormalized mixture."""
-    return forward_subset(layer, range(layer.n_experts), x)
-
-
-def forward_single(layer: MoELayer, i: int, x: np.ndarray) -> np.ndarray:
-    """Output with only expert i active at weight exactly 1 (gate bypassed)."""
-    if not 0 <= i < layer.n_experts:
-        raise IndexError(f"expert index {i} out of range [0, {layer.n_experts})")
-    x = _as_f32("x", np.asarray(x), 1)
-    return layer.experts[i].apply(x[None, :])[0]
-
-
-def forward_single_batch(layer: MoELayer, i: int, inputs: np.ndarray) -> np.ndarray:
-    if not 0 <= i < layer.n_experts:
-        raise IndexError(f"expert index {i} out of range [0, {layer.n_experts})")
-    inputs = _as_f32("inputs", inputs, 2)
-    return layer.experts[i].apply(inputs)
-
-
 # ---------------------------------------------------------------------------
 # serialization (array names are part of the on-disk contract)
 
@@ -415,11 +380,20 @@ def save_layer(layer: MoELayer, path: str, extra_metadata: dict[str, str] | None
     return tensor_store.write_archive(path, arrays, metadata)
 
 
+def _require_arrays(path: str, arrays: dict[str, np.ndarray], names: Iterable[str]) -> None:
+    for name in names:
+        if name not in arrays:
+            raise tensor_store.ArchiveError(f"archive {path} has no {name!r} array")
+
+
 def load_layer(path: str) -> MoELayer:
     manifest, arrays = tensor_store.read_archive(path)
     if manifest.metadata.get("kind") != "moe_layer":
         raise tensor_store.ArchiveError("archive does not hold a moe_layer")
     n = int(manifest.metadata["n_experts"])
+    _require_arrays(
+        path, arrays, ["router"] + [f"expert_{i}_w_{w}" for i in range(n) for w in ("in", "out")]
+    )
     experts = [
         ExpertTransform(arrays[f"expert_{i}_w_in"], arrays[f"expert_{i}_w_out"])
         for i in range(n)
@@ -451,6 +425,7 @@ def load_cache(path: str) -> CalibrationCache:
     manifest, arrays = tensor_store.read_archive(path)
     if manifest.metadata.get("kind") != "calibration_cache":
         raise tensor_store.ArchiveError("archive does not hold a calibration_cache")
+    _require_arrays(path, arrays, ("inputs", "outputs_full", "gate_probs"))
     return CalibrationCache(
         inputs=arrays["inputs"],
         outputs_full=arrays["outputs_full"],

@@ -22,14 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import tensor_store
-from .cluster import (
-    decode_groups,
-    encode_groups,
-    kmeans,
-    similarity_matrix,
-    ward_partition,
-)
+from . import METHODS, tensor_store
+from .cluster import kmeans, similarity_matrix, ward_partition
 from .metrics import (
     activation_frequency,
     performance_matrix,
@@ -38,7 +32,6 @@ from .metrics import (
 )
 from .moe_sim import CalibrationCache, MoELayer
 
-METHODS = ("random", "frequency", "enum_exhaustive", "enum_greedy", "gvp", "mop")
 DEFAULT_SUBSET_BUDGET = 100_000
 
 PROVENANCE_GENERAL = "general"
@@ -349,7 +342,6 @@ def prune_mop(
             "centroids": labeling.centroids,
             "groups": [list(g) for g in partition.groups],
             "similarity": sim.s,
-            "distance_diag": partition.distance_diag,
             "perf_errors": perf.errors,
             "candidate_ids": perf.candidate_ids,
             **stage_diag,
@@ -394,8 +386,29 @@ def prune_with_method(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _encode_groups(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged encoding: offsets[i]..offsets[i+1] index members of group i."""
+    offsets = np.zeros(len(groups) + 1, dtype=np.int32)
+    flat: list[int] = []
+    for i, group in enumerate(groups):
+        flat.extend(group)
+        offsets[i + 1] = len(flat)
+    return offsets, np.asarray(flat, dtype=np.int32)
+
+
+def _decode_groups(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
+    return [
+        [int(x) for x in flat[offsets[i] : offsets[i + 1]]]
+        for i in range(len(offsets) - 1)
+    ]
+
+
 def save_plan(plan: PruningPlan, path: str | os.PathLike) -> None:
-    """Write ``<path>.json`` plus a ``<path>.diag`` archive when diagnostics exist."""
+    """Write ``<path>.json`` plus a ``<path>.diag`` archive when diagnostics exist.
+
+    Array diagnostics become archive arrays; scalar ones are stored as JSON
+    text in the archive metadata.
+    """
     path = os.fspath(path)
     diag_name = None
     if plan.diagnostics:
@@ -404,13 +417,13 @@ def save_plan(plan: PruningPlan, path: str | os.PathLike) -> None:
         scalars: dict[str, str] = {"kind": "plan_diagnostics"}
         for key, value in plan.diagnostics.items():
             if key == "groups":
-                offsets, flat = encode_groups(value)
+                offsets, flat = _encode_groups(value)
                 arrays.append(("groups_offsets", offsets))
                 arrays.append(("groups_members", flat))
             elif isinstance(value, np.ndarray):
                 arrays.append((key, value))
             else:
-                scalars[key] = repr(value)
+                scalars[key] = json.dumps(value)
         tensor_store.write_archive(path + ".diag", arrays, scalars)
     doc = {
         "method": plan.method,
@@ -432,13 +445,16 @@ def load_plan(path: str | os.PathLike) -> PruningPlan:
         diag_path = os.path.join(os.path.dirname(path), doc["diagnostics_archive"])
         manifest, arrays = tensor_store.read_archive(diag_path)
         if "groups_offsets" in arrays:
-            diagnostics["groups"] = decode_groups(
+            diagnostics["groups"] = _decode_groups(
                 arrays.pop("groups_offsets"), arrays.pop("groups_members")
             )
         diagnostics.update(arrays)
         for key, value in manifest.metadata.items():
             if key != "kind" and key not in diagnostics:
-                diagnostics[key] = value
+                try:
+                    diagnostics[key] = json.loads(value)
+                except json.JSONDecodeError:  # an archive written before scalars were JSON
+                    diagnostics[key] = value
     return PruningPlan(
         method=doc["method"],
         kept=doc["kept"],

@@ -45,15 +45,6 @@ class Manifest:
     arrays: list[ArrayEntry] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
 
-    def names(self) -> list[str]:
-        return [entry.name for entry in self.arrays]
-
-    def entry(self, name: str) -> ArrayEntry:
-        for entry in self.arrays:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
     def validate(self, blob_size: int) -> None:
         """Check every manifest invariant against a blob of `blob_size` bytes."""
         if self.format_version != FORMAT_VERSION:

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from moe_prune import cli
 from moe_prune.cli import main
 from moe_prune.moe_sim import load_layer
 from moe_prune.prune import load_plan
+from moe_prune.tensor_store import read_archive, write_archive
 
 
 def run(args):
@@ -191,6 +195,43 @@ def test_prune_failure_removes_partial_outputs(pipeline, tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not os.path.exists(plan_path + ".json")
+
+
+def test_interrupt_removes_written_archive(tmp_path, monkeypatch):
+    out = str(tmp_path / "model")
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    # the layer archive is on disk when the provenance write is interrupted
+    monkeypatch.setattr(cli, "_write_provenance", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(["gen-model", "--out", out])
+    assert not os.path.exists(out + ".json")
+    assert not os.path.exists(out + ".bin")
+
+
+def test_missing_router_array_named(pipeline, tmp_path, capsys):
+    config, model, calib, heldout = pipeline
+    manifest, arrays = read_archive(model)
+    broken = str(tmp_path / "no_router")
+    del arrays["router"]
+    write_archive(broken, arrays, manifest.metadata)
+    code = run(["prune", "--model", broken, "--cache", calib,
+                "--method", "frequency", "--r", "4", "--out", str(tmp_path / "plan")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert broken in err and "'router'" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # MOP_THREADS must take effect before numpy is first imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, moe_prune.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pipeline_determinism(pipeline, tmp_path):

@@ -40,8 +40,8 @@ def test_heatmap_rows_sum_to_one(planted_fixture):
     spec, layer, calib, heldout = planted_fixture
     plan = prune_mop(calib, layer, r=4, m=1, kmeans_seed=1)
     report = evaluate_plan(layer, plan, heldout)
-    assert report.heatmap.shape == (3, 1, 4)
-    sums = report.heatmap.sum(axis=2)
+    assert report.heatmap.shape == (3, 4)
+    sums = report.heatmap.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-5)
 
 

@@ -11,14 +11,8 @@ from moe_prune import (
     reconstruction_loss,
     variability_scores,
 )
-from moe_prune.metrics import (
-    PerformanceMatrix,
-    load_performance_matrix,
-    load_variability_scores,
-    save_performance_matrix,
-    save_variability_scores,
-)
-from moe_prune.moe_sim import forward_single_batch, forward_subset_batch
+from moe_prune.metrics import PerformanceMatrix
+from moe_prune.moe_sim import forward_subset_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
 
@@ -182,7 +176,7 @@ def test_perf_single_domain_is_mean_error(rng):
     cache = make_random_cache(rng, layer, n_tokens=15)
     perf = performance_matrix(cache, layer, [0, 1, 2, 3], np.zeros(15, dtype=int))
     for i in range(4):
-        out = forward_single_batch(layer, i, cache.inputs).astype(np.float64)
+        out = layer.experts[i].apply(cache.inputs).astype(np.float64)
         want = (((out - cache.outputs_full.astype(np.float64)) ** 2).sum(axis=1)).mean()
         assert perf.errors[i, 0] == pytest.approx(want, rel=1e-12)
 
@@ -241,26 +235,3 @@ def test_perf_invariants_enforced():
             errors=np.array([[1.0, 2.0]]), domain_sizes=[3, 0], candidate_ids=[0]
         )
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_scores_archive_round_trip(tmp_path, rng):
-    probs = rng.random((32, 4))
-    probs /= probs.sum(axis=1, keepdims=True)
-    scores = variability_scores(make_gate_cache(probs))
-    save_variability_scores(scores, str(tmp_path / "sv"))
-    loaded = load_variability_scores(str(tmp_path / "sv"))
-    assert loaded.n_total == 32
-    assert np.allclose(loaded.scores, scores.scores, atol=1e-6)
-
-
-def test_perf_archive_round_trip(tmp_path, rng):
-    perf = PerformanceMatrix(
-        errors=rng.random((5, 3)), domain_sizes=[4, 4, 4], candidate_ids=[1, 2, 4, 6, 7]
-    )
-    save_performance_matrix(perf, str(tmp_path / "perf"))
-    loaded = load_performance_matrix(str(tmp_path / "perf"))
-    assert np.allclose(loaded.errors, perf.errors, atol=1e-6)
-    assert np.array_equal(loaded.candidate_ids, perf.candidate_ids)

@@ -8,11 +8,8 @@ from moe_prune import (
     ExpertTransform,
     MoELayer,
     PlantedSpec,
+    cache_from_inputs,
     domain_centroids,
-    forward_full,
-    forward_single,
-    forward_subset,
-    gate,
     generate_calibration,
     generate_layer,
     kmeans,
@@ -21,12 +18,7 @@ from moe_prune import (
     save_cache,
     save_layer,
 )
-from moe_prune.moe_sim import (
-    forward_full_batch,
-    forward_subset_batch,
-    gate_batch,
-    subset_gate_weights,
-)
+from moe_prune.moe_sim import forward_subset_batch, gate_batch, subset_gate_weights
 
 from conftest import make_planted, make_random_cache, make_random_layer
 
@@ -143,7 +135,7 @@ def test_calibration_kmeans_recovers_domains():
 def test_gate_uniform_for_zero_router(rng):
     layer = make_random_layer(rng, n=5)
     layer.router[:] = 0.0
-    probs = gate(layer, rng.standard_normal(8))
+    probs = gate_batch(layer, rng.standard_normal((1, 8)))[0]
     assert np.allclose(probs, 0.2, atol=1e-7)
 
 
@@ -157,15 +149,15 @@ def test_gate_shift_invariance(rng):
     # adding one vector to every router row shifts all logits by the same
     # constant for any fixed token
     for _ in range(5):
-        x = rng.standard_normal(8)
-        assert np.allclose(gate(layer, x), gate(shifted, x), atol=1e-5)
+        X = rng.standard_normal((1, 8))
+        assert np.allclose(gate_batch(layer, X), gate_batch(shifted, X), atol=1e-5)
 
 
 def test_gate_matches_scalar_oracle(rng):
     layer = make_random_layer(rng, n=6, hidden=8)
     for _ in range(10):
         x = rng.standard_normal(8).astype(np.float32)
-        got = gate(layer, x)
+        got = gate_batch(layer, x[None, :])[0]
         want = oracle_gate(layer, x)
         assert got.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-7)
@@ -174,7 +166,7 @@ def test_gate_matches_scalar_oracle(rng):
 def test_gate_rejects_non_finite(rng):
     layer = make_random_layer(rng)
     with pytest.raises(ValueError, match="non-finite"):
-        gate(layer, np.array([np.nan] * 8))
+        gate_batch(layer, np.array([[np.nan] * 8]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +175,12 @@ def test_gate_rejects_non_finite(rng):
 
 def test_forward_full_topk_equals_dense_mixture(rng):
     layer = make_random_layer(rng, n=4, hidden=8, top_k=4)
-    x = rng.standard_normal(8).astype(np.float32)
-    probs = gate(layer, x)
+    X = rng.standard_normal((1, 8)).astype(np.float32)
+    probs = gate_batch(layer, X)[0]
     dense = np.zeros(8, dtype=np.float64)
     for i in range(4):
-        dense += probs[i].astype(np.float64) * forward_single(layer, i, x).astype(np.float64)
-    assert np.allclose(forward_full(layer, x), dense, rtol=1e-5, atol=1e-6)
+        dense += probs[i].astype(np.float64) * layer.experts[i].apply(X)[0].astype(np.float64)
+    assert np.allclose(forward_subset_batch(layer, range(4), X)[0], dense, rtol=1e-5, atol=1e-6)
 
 
 def test_forward_full_single_winner_exact(rng):
@@ -196,15 +188,15 @@ def test_forward_full_single_winner_exact(rng):
     layer = make_random_layer(rng, n=2, hidden=4, top_k=1)
     layer.router[0] = np.array([2.0, 0.0, 0.0, 0.0])
     layer.router[1] = np.array([-2.0, 0.0, 0.0, 0.0])
-    x = np.array([1.0, 0.5, -0.3, 0.2], dtype=np.float32)
-    assert np.array_equal(forward_full(layer, x), forward_single(layer, 0, x))
+    X = np.array([[1.0, 0.5, -0.3, 0.2]], dtype=np.float32)
+    assert np.array_equal(forward_subset_batch(layer, range(2), X), layer.experts[0].apply(X))
 
 
 def test_forward_full_matches_scalar_oracle(rng):
     layer = make_random_layer(rng, n=5, hidden=6, ff=10, top_k=2)
     for _ in range(10):
         x = rng.standard_normal(6).astype(np.float32)
-        got = forward_full(layer, x)
+        got = forward_subset_batch(layer, range(5), x[None, :])[0]
         want = oracle_subset(layer, range(5), x)
         assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
 
@@ -213,41 +205,41 @@ def test_forward_single_zero_expert(rng):
     layer = make_random_layer(rng, n=3, hidden=4, ff=6)
     layer.experts[1].w_in[:] = 0.0
     layer.experts[1].w_out[:] = 0.0
-    assert np.array_equal(forward_single(layer, 1, rng.standard_normal(4)), np.zeros(4))
+    X = rng.standard_normal((1, 4)).astype(np.float32)
+    assert np.array_equal(layer.experts[1].apply(X), np.zeros((1, 4)))
 
 
 def test_forward_single_identity_on_positive_orthant():
     identity = ExpertTransform(w_in=np.eye(4), w_out=np.eye(4))
-    layer = MoELayer(router=np.zeros((1, 4)), experts=[identity], top_k=1)
-    x = np.array([0.5, 1.0, 2.0, 0.25], dtype=np.float32)
-    assert np.array_equal(forward_single(layer, 0, x), x)
+    X = np.array([[0.5, 1.0, 2.0, 0.25]], dtype=np.float32)
+    assert np.array_equal(identity.apply(X), X)
 
 
 def test_forward_single_degenerate_layer_matches_full(rng):
     layer = make_random_layer(rng, n=1, hidden=5, top_k=1)
-    x = rng.standard_normal(5).astype(np.float32)
-    assert np.array_equal(forward_single(layer, 0, x), forward_full(layer, x))
+    X = rng.standard_normal((1, 5)).astype(np.float32)
+    assert np.array_equal(layer.experts[0].apply(X), forward_subset_batch(layer, [0], X))
 
 
 def test_forward_single_bounds(rng):
     layer = make_random_layer(rng, n=3)
-    with pytest.raises(IndexError):
-        forward_single(layer, 3, np.zeros(8))
+    with pytest.raises(ValueError, match="out of range"):
+        forward_subset_batch(layer, [3], np.zeros((1, 8)))
 
 
 def test_forward_subset_full_set_is_identity(rng):
     layer = make_random_layer(rng, n=6, hidden=8, top_k=2)
     X = rng.standard_normal((32, 8)).astype(np.float32)
-    assert np.array_equal(
-        forward_subset_batch(layer, range(6), X), forward_full_batch(layer, X)
-    )
+    # the kept set's order does not matter; the cache ran the same batch
+    cache = cache_from_inputs(layer, X)
+    assert np.array_equal(forward_subset_batch(layer, [5, 3, 1, 0, 2, 4], X), cache.outputs_full)
 
 
 def test_forward_subset_singleton_equals_single(rng):
     layer = make_random_layer(rng, n=5, hidden=8)
     for i in range(5):
-        x = rng.standard_normal(8).astype(np.float32)
-        assert np.array_equal(forward_subset(layer, [i], x), forward_single(layer, i, x))
+        X = rng.standard_normal((1, 8)).astype(np.float32)
+        assert np.array_equal(forward_subset_batch(layer, [i], X), layer.experts[i].apply(X))
 
 
 def test_forward_subset_matches_scalar_oracle(rng):
@@ -255,7 +247,7 @@ def test_forward_subset_matches_scalar_oracle(rng):
     for _ in range(10):
         kept = sorted(rng.choice(8, size=4, replace=False).tolist())
         x = rng.standard_normal(6).astype(np.float32)
-        got = forward_subset(layer, kept, x)
+        got = forward_subset_batch(layer, kept, x[None, :])[0]
         want = oracle_subset(layer, kept, x)
         assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
 
@@ -280,13 +272,13 @@ def test_forward_subset_monotone_consistency(rng):
 
 def test_forward_subset_rejects_bad_kept(rng):
     layer = make_random_layer(rng, n=4)
-    x = np.zeros(8, dtype=np.float32)
+    X = np.zeros((1, 8), dtype=np.float32)
     with pytest.raises(ValueError, match="nonempty"):
-        forward_subset(layer, [], x)
+        forward_subset_batch(layer, [], X)
     with pytest.raises(ValueError, match="out of range"):
-        forward_subset(layer, [0, 4], x)
+        forward_subset_batch(layer, [0, 4], X)
     with pytest.raises(ValueError, match="unique"):
-        forward_subset(layer, [1, 1], x)
+        forward_subset_batch(layer, [1, 1], X)
 
 
 def test_subset_weights_rows_sum_to_one(rng):
@@ -306,8 +298,8 @@ def test_tie_break_prefers_lower_index():
         ExpertTransform(2 * np.ones((2, 2)), np.ones((2, 2))),
     ]
     layer = MoELayer(router=np.ones((2, 2)), experts=experts, top_k=1)
-    x = np.array([1.0, 1.0], dtype=np.float32)
-    assert np.array_equal(forward_full(layer, x), forward_single(layer, 0, x))
+    X = np.array([[1.0, 1.0]], dtype=np.float32)
+    assert np.array_equal(forward_subset_batch(layer, range(2), X), layer.experts[0].apply(X))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +328,7 @@ def test_cache_shape_agreement(rng):
 def test_cache_from_inputs_consistent(rng):
     layer = make_random_layer(rng, n=4, hidden=6)
     cache = make_random_cache(rng, layer, n_tokens=10)
-    assert np.array_equal(cache.outputs_full, forward_full_batch(layer, cache.inputs))
+    assert np.array_equal(cache.outputs_full, forward_subset_batch(layer, range(4), cache.inputs))
     assert np.array_equal(cache.gate_probs, gate_batch(layer, cache.inputs))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -293,6 +294,20 @@ def test_plan_round_trip(tmp_path):
     assert loaded.params["r"] == 4
     assert loaded.diagnostics["groups"] == plan.diagnostics["groups"]
     assert np.allclose(loaded.diagnostics["s_var"], plan.diagnostics["s_var"], atol=1e-6)
+    # scalar diagnostics keep their type and value
+    assert loaded.diagnostics["stage1_mode"] == "exhaustive"
+    assert loaded.diagnostics["stage1_loss"] == plan.diagnostics["stage1_loss"]
+    assert isinstance(loaded.diagnostics["stage1_loss"], float)
+
+
+def test_plan_loads_non_json_scalar_as_string(tmp_path):
+    spec, layer, calib, _ = make_planted(seed=46)
+    save_plan(prune_gvp(calib, layer, r=4, m=1), tmp_path / "plan")
+    manifest = tmp_path / "plan.diag.json"
+    doc = json.loads(manifest.read_text())
+    doc["metadata"]["stage1_mode"] = "'exhaustive'"  # archives before JSON scalars held a repr
+    manifest.write_text(json.dumps(doc))
+    assert load_plan(tmp_path / "plan").diagnostics["stage1_mode"] == "'exhaustive'"
 
 
 def test_plan_round_trip_without_diagnostics(tmp_path):

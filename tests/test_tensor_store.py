@@ -13,7 +13,8 @@ from moe_prune.tensor_store import (
 def test_single_array_layout(tmp_path):
     path = tmp_path / "a"
     manifest = write_archive(path, {"x": np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)})
-    entry = manifest.entry("x")
+    (entry,) = manifest.arrays
+    assert entry.name == "x"
     assert entry.shape == (2, 2)
     assert entry.dtype == "f32"
     assert entry.offset == 0
