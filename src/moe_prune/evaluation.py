@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _check_cache_layer
-from .moe_sim import CalibrationCache, MoELayer, forward_subset_batch, subset_gate_weights
+from .moe_sim import CalibrationCache, MoELayer, _combine, subset_gate_weights
 from .prune import PruningPlan, prune_with_method
 
 
@@ -64,7 +64,10 @@ def evaluate_plan(
     if heldout.source_domain is None:
         raise ValueError("held-out cache lacks source_domain labels for per-domain stats")
 
-    pred = forward_subset_batch(layer, plan.kept, heldout.inputs)
+    weights, idx = subset_gate_weights(layer, plan.kept, heldout.inputs)
+    pred = _combine(
+        weights, idx, lambda e: layer.experts[e].apply(heldout.inputs), layer.hidden_dim
+    )
     diff = pred.astype(np.float64) - heldout.outputs_full.astype(np.float64)
     per_token = (diff * diff).sum(axis=1)
 
@@ -77,7 +80,6 @@ def evaluate_plan(
         [per_token[source == d].sum() for d in range(n_domains)], dtype=np.float64
     )
 
-    weights, _ = subset_gate_weights(layer, plan.kept, heldout.inputs)
     weights = weights.astype(np.float64)
     heatmap = np.stack([weights[source == d].mean(axis=0) for d in range(n_domains)])
 

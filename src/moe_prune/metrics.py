@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .moe_sim import CalibrationCache, MoELayer, forward_subset_batch
+from .moe_sim import CalibrationCache, MoELayer, _combine, subset_gate_weights
 
 
 @dataclass
@@ -57,14 +57,43 @@ def _check_cache_layer(cache: CalibrationCache, layer: MoELayer) -> None:
         raise ValueError("cache gate_probs expert count does not match layer")
 
 
+class _LossScorer:
+    """Reconstruction losses of many kept sets over one cache.
+
+    Router logits are still taken per kept set (subset_gate_weights), but an
+    expert's output does not depend on the set, so each one is computed on
+    first use and reused until release(e). A search releases an expert once
+    no later subset keeps it, which bounds how many outputs stay alive.
+    """
+
+    def __init__(self, cache: CalibrationCache, layer: MoELayer) -> None:
+        _check_cache_layer(cache, layer)
+        self._cache = cache
+        self._layer = layer
+        self._target = cache.outputs_full.astype(np.float64)
+        self._outputs: dict[int, np.ndarray] = {}
+
+    def _output(self, e: int) -> np.ndarray:
+        out = self._outputs.get(e)
+        if out is None:
+            out = self._outputs[e] = self._layer.experts[e].apply(self._cache.inputs)
+        return out
+
+    def loss(self, kept: Iterable[int]) -> float:
+        weights, idx = subset_gate_weights(self._layer, kept, self._cache.inputs)
+        pred = _combine(weights, idx, self._output, self._layer.hidden_dim)
+        diff = pred.astype(np.float64) - self._target
+        return float(np.sum(diff * diff))
+
+    def release(self, e: int) -> None:
+        self._outputs.pop(e, None)
+
+
 def reconstruction_loss(
     cache: CalibrationCache, layer: MoELayer, kept: Iterable[int]
 ) -> float:
     """Sum over cached tokens of ||pruned_output - cached_full_output||^2."""
-    _check_cache_layer(cache, layer)
-    pred = forward_subset_batch(layer, kept, cache.inputs)
-    diff = pred.astype(np.float64) - cache.outputs_full.astype(np.float64)
-    return float(np.sum(diff * diff))
+    return _LossScorer(cache, layer).loss(kept)
 
 
 def variability_scores(cache: CalibrationCache) -> VariabilityScores:

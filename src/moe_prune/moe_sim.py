@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -346,16 +346,32 @@ def subset_gate_weights(
     return weights, idx
 
 
+def _combine(
+    weights: np.ndarray,
+    idx: np.ndarray,
+    output: Callable[[int], np.ndarray],
+    hidden_dim: int,
+) -> np.ndarray:
+    """Sum of weights[:, col] * output(e) over the kept experts, ascending.
+
+    `weights` and `idx` come from subset_gate_weights; `output(e)` gives
+    expert e's output [N, hidden_dim] on the routed rows. The fixed
+    summation order is what makes every caller's result bit-identical,
+    whether it applies experts on the fly or reuses outputs computed once.
+    """
+    out = np.zeros((weights.shape[0], hidden_dim), dtype=np.float32)
+    for col, e in enumerate(idx):
+        out += weights[:, col : col + 1] * output(int(e))
+    return out
+
+
 def forward_subset_batch(
     layer: MoELayer, kept: Iterable[int], inputs: np.ndarray
 ) -> np.ndarray:
     """Pruned-layer outputs for a batch; kept = all reproduces the full layer."""
     weights, idx = subset_gate_weights(layer, kept, inputs)
     inputs = _as_f32("inputs", inputs, 2)
-    out = np.zeros_like(inputs)
-    for col, e in enumerate(idx):
-        out += weights[:, col : col + 1] * layer.experts[int(e)].apply(inputs)
-    return out
+    return _combine(weights, idx, lambda e: layer.experts[e].apply(inputs), layer.hidden_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +396,21 @@ def save_layer(layer: MoELayer, path: str, extra_metadata: dict[str, str] | None
     return tensor_store.write_archive(path, arrays, metadata)
 
 
-def _require_arrays(path: str, arrays: dict[str, np.ndarray], names: Iterable[str]) -> None:
+def _require(path: str, found: Mapping[str, object], names: Iterable[str], what: str) -> None:
     for name in names:
-        if name not in arrays:
-            raise tensor_store.ArchiveError(f"archive {path} has no {name!r} array")
+        if name not in found:
+            raise tensor_store.ArchiveError(f"archive {path} has no {name!r} {what}")
 
 
 def load_layer(path: str) -> MoELayer:
     manifest, arrays = tensor_store.read_archive(path)
     if manifest.metadata.get("kind") != "moe_layer":
         raise tensor_store.ArchiveError("archive does not hold a moe_layer")
+    _require(path, manifest.metadata, ("n_experts", "top_k"), "metadata key")
     n = int(manifest.metadata["n_experts"])
-    _require_arrays(
-        path, arrays, ["router"] + [f"expert_{i}_w_{w}" for i in range(n) for w in ("in", "out")]
+    _require(
+        path, arrays,
+        ["router"] + [f"expert_{i}_w_{w}" for i in range(n) for w in ("in", "out")], "array",
     )
     experts = [
         ExpertTransform(arrays[f"expert_{i}_w_in"], arrays[f"expert_{i}_w_out"])
@@ -425,7 +443,7 @@ def load_cache(path: str) -> CalibrationCache:
     manifest, arrays = tensor_store.read_archive(path)
     if manifest.metadata.get("kind") != "calibration_cache":
         raise tensor_store.ArchiveError("archive does not hold a calibration_cache")
-    _require_arrays(path, arrays, ("inputs", "outputs_full", "gate_probs"))
+    _require(path, arrays, ("inputs", "outputs_full", "gate_probs"), "array")
     return CalibrationCache(
         inputs=arrays["inputs"],
         outputs_full=arrays["outputs_full"],

@@ -25,9 +25,9 @@ import numpy as np
 from . import METHODS, tensor_store
 from .cluster import kmeans, similarity_matrix, ward_partition
 from .metrics import (
+    _LossScorer,
     activation_frequency,
     performance_matrix,
-    reconstruction_loss,
     variability_scores,
 )
 from .moe_sim import CalibrationCache, MoELayer
@@ -160,17 +160,25 @@ def _search_exhaustive(
             f"C({n}, {size}) = {n_subsets} subsets exceeds the budget of {budget}; "
             "use the greedy mode"
         )
+    scorer = _LossScorer(cache, layer)
     best_subset: tuple[int, ...] | None = None
     best_loss = math.inf
     subsets = np.empty((n_subsets, size), dtype=np.int32)
     losses = np.empty(n_subsets, dtype=np.float64)
-    for row, subset in enumerate(itertools.combinations(range(n), size)):
-        loss = reconstruction_loss(cache, layer, subset)
-        subsets[row] = subset
-        losses[row] = loss
-        if loss < best_loss:  # strict: ties keep the lexicographically first subset
-            best_loss = loss
-            best_subset = subset
+    row = 0
+    # lexicographic order, one block per first element; no later subset keeps
+    # that element, so its output is released after its block
+    for first in range(n - size + 1):
+        for rest in itertools.combinations(range(first + 1, n), size - 1):
+            subset = (first,) + rest
+            loss = scorer.loss(subset)
+            subsets[row] = subset
+            losses[row] = loss
+            row += 1
+            if loss < best_loss:  # strict: ties keep the lexicographically first subset
+                best_loss = loss
+                best_subset = subset
+        scorer.release(first)
     assert best_subset is not None
     diag = {"subsets": subsets, "losses": losses, "best_loss": best_loss}
     return list(best_subset), best_loss, diag
@@ -179,6 +187,7 @@ def _search_exhaustive(
 def _search_greedy(
     cache: CalibrationCache, layer: MoELayer, size: int
 ) -> tuple[list[int], float, dict]:
+    scorer = _LossScorer(cache, layer)
     current = list(range(layer.n_experts))
     removed: list[int] = []
     step_losses: list[float] = []
@@ -186,14 +195,15 @@ def _search_greedy(
         best_i = -1
         best_loss = math.inf
         for i in current:  # ascending, so loss ties remove the lower index
-            loss = reconstruction_loss(cache, layer, [j for j in current if j != i])
+            loss = scorer.loss([j for j in current if j != i])
             if loss < best_loss:
                 best_loss = loss
                 best_i = i
         current.remove(best_i)
+        scorer.release(best_i)
         removed.append(best_i)
         step_losses.append(best_loss)
-    final_loss = reconstruction_loss(cache, layer, current)
+    final_loss = scorer.loss(current)
     diag = {
         "removed_order": np.asarray(removed, dtype=np.int32),
         "step_losses": np.asarray(step_losses, dtype=np.float64),

@@ -10,6 +10,7 @@ results. Identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -144,7 +145,7 @@ def write_archive(
     arrays: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
     metadata: Mapping[str, str] | None = None,
 ) -> Manifest:
-    """Write ``<path>.json`` + ``<path>.bin`` and return the manifest.
+    """Write ``<path>.json`` + ``<path>.bin`` atomically and return the manifest.
 
     Arrays are stored in the given order; floats as little-endian f32,
     integers as i32. Non-finite values are rejected up front.
@@ -171,12 +172,24 @@ def write_archive(
     )
     manifest.validate(offset)
 
+    # Both files are written under temporary names in the target directory
+    # and renamed into place, the manifest last, so no manifest names a blob
+    # that is not complete, and a failed write removes its temporary files.
     path = os.fspath(path)
-    with open(path + ".bin", "wb") as fh:
-        for raw in chunks:
-            fh.write(raw)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+    staged = {suffix: f"{path}{suffix}.{os.getpid()}.tmp" for suffix in (".bin", ".json")}
+    try:
+        with open(staged[".bin"], "wb") as fh:
+            for raw in chunks:
+                fh.write(raw)
+        with open(staged[".json"], "w", encoding="utf-8") as fh:
+            fh.write(manifest.to_json())
+        for suffix, tmp in staged.items():
+            os.replace(tmp, path + suffix)
+    except BaseException:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
     return manifest
 
 

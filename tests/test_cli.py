@@ -224,6 +224,20 @@ def test_missing_router_array_named(pipeline, tmp_path, capsys):
     assert broken in err and "'router'" in err
 
 
+def test_missing_metadata_key_named(pipeline, tmp_path, capsys):
+    config, model, calib, heldout = pipeline
+    manifest, arrays = read_archive(model)
+    broken = str(tmp_path / "no_top_k")
+    metadata = dict(manifest.metadata)
+    del metadata["top_k"]
+    write_archive(broken, arrays, metadata)
+    code = run(["gen-calib", "--config", config, "--model", broken,
+                "--out", str(tmp_path / "calib")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert broken in err and "'top_k'" in err and "metadata" in err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # MOP_THREADS must take effect before numpy is first imported
     src = os.path.dirname(os.path.dirname(cli.__file__))

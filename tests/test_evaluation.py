@@ -13,6 +13,7 @@ from moe_prune import (
     prune_mop,
     prune_random,
 )
+from moe_prune import evaluation
 from moe_prune.evaluation import report_to_csv
 
 from conftest import (
@@ -43,6 +44,21 @@ def test_heatmap_rows_sum_to_one(planted_fixture):
     assert report.heatmap.shape == (3, 4)
     sums = report.heatmap.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-5)
+
+
+def test_eval_routes_once(planted_fixture, monkeypatch):
+    spec, layer, calib, heldout = planted_fixture
+    plan = prune_random(8, 4, seed=3)
+    calls = []
+    route = evaluation.subset_gate_weights
+
+    def counting_route(*args):
+        calls.append(args[1])
+        return route(*args)
+
+    monkeypatch.setattr(evaluation, "subset_gate_weights", counting_route)
+    evaluate_plan(layer, plan, heldout)
+    assert calls == [plan.kept]
 
 
 def test_worst_domain_is_max(planted_fixture):

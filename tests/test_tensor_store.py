@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+from moe_prune import tensor_store
 from moe_prune.tensor_store import (
     ArchiveError,
     ArrayEntry,
@@ -144,3 +147,41 @@ def test_metadata_round_trip(tmp_path):
     write_archive(tmp_path / "meta", {"x": np.zeros(1)}, meta)
     manifest, _ = read_archive(tmp_path / "meta")
     assert manifest.metadata == meta
+
+
+class _FullDisk:
+    """A binary file whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_failed_blob_write_leaves_no_pair_and_no_temp_file(tmp_path, monkeypatch, exists):
+    old = {"x": np.arange(3.0)}
+    if exists:
+        write_archive(tmp_path / "a", old)
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if "b" in mode else fh
+
+    monkeypatch.setattr(tensor_store, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_archive(tmp_path / "a", {"x": np.zeros(5)})
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if exists:
+        _, arrays = read_archive(tmp_path / "a")
+        assert np.array_equal(arrays["x"], old["x"])
