@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .moe_sim import CalibrationCache, MoELayer, _combine, subset_gate_weights
+from .moe_sim import CalibrationCache, MoELayer, _combine, _route, _sorted_kept
 
 
 @dataclass
@@ -60,10 +60,13 @@ def _check_cache_layer(cache: CalibrationCache, layer: MoELayer) -> None:
 class _LossScorer:
     """Reconstruction losses of many kept sets over one cache.
 
-    Router logits are still taken per kept set (subset_gate_weights), but an
-    expert's output does not depend on the set, so each one is computed on
-    first use and reused until release(e). A search releases an expert once
-    no later subset keeps it, which bounds how many outputs stay alive.
+    The cache and the layer are checked once, when the scorer is made; each
+    kept set is checked per call (nonempty, unique, in range) in plain
+    Python and routed by the routing kernel with no further checks. Router
+    logits are still taken per kept set, but an expert's output does not
+    depend on the set, so each one is computed on first use and reused until
+    release(e). A search releases an expert once no later subset keeps it,
+    which bounds how many outputs stay alive.
     """
 
     def __init__(self, cache: CalibrationCache, layer: MoELayer) -> None:
@@ -80,10 +83,12 @@ class _LossScorer:
         return out
 
     def loss(self, kept: Iterable[int]) -> float:
-        weights, idx = subset_gate_weights(self._layer, kept, self._cache.inputs)
-        pred = _combine(weights, idx, self._output, self._layer.hidden_dim)
-        diff = pred.astype(np.float64) - self._target
-        return float(np.sum(diff * diff))
+        idx = _sorted_kept(kept, self._layer.n_experts)
+        weights = _route(self._layer, idx, self._cache.inputs)
+        diff = _combine(weights, idx, self._output, self._layer.hidden_dim).astype(np.float64)
+        diff -= self._target
+        diff *= diff
+        return float(diff.sum())
 
     def release(self, e: int) -> None:
         self._outputs.pop(e, None)

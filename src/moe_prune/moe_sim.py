@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -305,15 +305,61 @@ def gate_batch(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _normalize_kept(layer: MoELayer, kept: Iterable[int]) -> np.ndarray:
-    idx = np.asarray(sorted(int(i) for i in kept), dtype=np.int64)
-    if idx.size == 0:
+def _sorted_kept(kept: Iterable[int], n_experts: int) -> list[int]:
+    """`kept` as an ascending list, checked: nonempty, in range, unique.
+
+    Plain Python: a search checks every kept set it scores, and for a few
+    indices this costs a small fraction of numpy's sort and unique.
+    """
+    idx = sorted(int(i) for i in kept)
+    if not idx:
         raise ValueError("kept set must be nonempty")
-    if np.any(idx < 0) or np.any(idx >= layer.n_experts):
-        raise ValueError(f"kept indices out of range [0, {layer.n_experts})")
-    if np.unique(idx).size != idx.size:
+    if idx[0] < 0 or idx[-1] >= n_experts:
+        raise ValueError(f"kept indices out of range [0, {n_experts})")
+    if any(a == b for a, b in zip(idx, idx[1:])):
         raise ValueError("kept indices must be unique")
     return idx
+
+
+def _normalize_kept(layer: MoELayer, kept: Iterable[int]) -> np.ndarray:
+    return np.asarray(_sorted_kept(kept, layer.n_experts), dtype=np.int64)
+
+
+def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarray:
+    """Routing weights [N, |kept|] of the kept experts `idx` for `inputs`.
+
+    `idx` must be ascending, unique and in range, and `inputs` a checked
+    f32 [N, hidden_dim] array; nothing is checked here. The logits are the
+    product of the inputs with the kept router rows, and the top-k order a
+    stable argsort of each token's logits, as in the token-major formula.
+    Everything after the argsort runs rank-major on [k, N] arrays gathered
+    and scattered through flat indices: reductions over a long axis are far
+    cheaper in numpy than over a length-k one, and give the same values.
+    The result is a transposed view of [|kept|, N] storage.
+    """
+    logits = inputs @ layer.router[idx].T
+    n_rows, s = logits.shape
+    k_sel = min(layer.top_k, s)
+    # stable sort on -logits: same order as restricted-softmax probabilities,
+    # ties resolve to the lower column = lower expert index
+    order = np.argsort(-logits, axis=1, kind="stable")[:, :k_sel].T.copy()  # [k, N]
+    tokens = np.arange(n_rows)
+    # renormalized top-k probabilities == softmax over just the selected
+    # logits; computing it that way keeps the weights independent of the
+    # non-selected experts down to the last bit
+    top = np.take(logits, order + tokens * s)
+    top -= top.max(axis=0)
+    np.exp(top, out=top)
+    # each token's sum must add its k values as a sum along a contiguous axis
+    # does: numpy adds fewer than 8 in order, as this sum over ranks does, and
+    # 8 or more pairwise, which only a token-major copy repeats
+    if k_sel < 8:
+        top /= top.sum(axis=0)
+    else:
+        top /= np.ascontiguousarray(top.T).sum(axis=1)
+    weights = np.zeros(s * n_rows, dtype=np.float32)
+    weights[order * n_rows + tokens] = top
+    return weights.reshape(s, n_rows).T
 
 
 def subset_gate_weights(
@@ -326,42 +372,25 @@ def subset_gate_weights(
     Returns (weights [N, |kept|], kept indices ascending).
     """
     idx = _normalize_kept(layer, kept)
-    inputs = _as_f32("inputs", inputs, 2)
-    logits = inputs @ layer.router[idx].T
-
-    k_sel = min(layer.top_k, idx.size)
-    # stable sort on -logits: same order as restricted-softmax probabilities,
-    # ties resolve to the lower column = lower expert index
-    order = np.argsort(-logits, axis=1, kind="stable")[:, :k_sel]
-    rows = np.arange(logits.shape[0])[:, None]
-    # renormalized top-k probabilities == softmax over just the selected
-    # logits; computing it that way keeps the weights independent of the
-    # non-selected experts down to the last bit
-    selected = logits[rows, order]
-    selected -= selected.max(axis=1, keepdims=True)
-    top = np.exp(selected)
-    top /= top.sum(axis=1, keepdims=True)
-    weights = np.zeros_like(logits)
-    weights[rows, order] = top
-    return weights, idx
+    return _route(layer, idx, _as_f32("inputs", inputs, 2)), idx
 
 
 def _combine(
     weights: np.ndarray,
-    idx: np.ndarray,
+    idx: Sequence[int],
     output: Callable[[int], np.ndarray],
     hidden_dim: int,
 ) -> np.ndarray:
     """Sum of weights[:, col] * output(e) over the kept experts, ascending.
 
-    `weights` and `idx` come from subset_gate_weights; `output(e)` gives
-    expert e's output [N, hidden_dim] on the routed rows. The fixed
+    `weights` [N, |kept|] and `idx` come from the routing kernel; `output(e)`
+    gives expert e's output [N, hidden_dim] on the routed rows. The fixed
     summation order is what makes every caller's result bit-identical,
     whether it applies experts on the fly or reuses outputs computed once.
     """
     out = np.zeros((weights.shape[0], hidden_dim), dtype=np.float32)
-    for col, e in enumerate(idx):
-        out += weights[:, col : col + 1] * output(int(e))
+    for column, e in zip(weights.T, idx):
+        out += column[:, None] * output(int(e))
     return out
 
 
@@ -369,8 +398,9 @@ def forward_subset_batch(
     layer: MoELayer, kept: Iterable[int], inputs: np.ndarray
 ) -> np.ndarray:
     """Pruned-layer outputs for a batch; kept = all reproduces the full layer."""
-    weights, idx = subset_gate_weights(layer, kept, inputs)
+    idx = _normalize_kept(layer, kept)
     inputs = _as_f32("inputs", inputs, 2)
+    weights = _route(layer, idx, inputs)
     return _combine(weights, idx, lambda e: layer.experts[e].apply(inputs), layer.hidden_dim)
 
 

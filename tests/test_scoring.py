@@ -1,11 +1,13 @@
 """Differential tests of the subset-scoring path.
 
-The combine kernel, the per-search loss scorer and the two subset searches
-are compared bit for bit with the per-subset formula they replaced, which
-applies every kept expert anew for every kept set. That formula lives only
-here, as the oracle.
+The routing and combine kernels, the per-search loss scorer and the two
+subset searches are compared bit for bit with the per-subset formula they
+replaced, which routes token-major and applies every kept expert anew for
+every kept set, also on layers whose logits tie exactly. That formula lives
+only here, as the oracle.
 """
 
+import collections
 import itertools
 import weakref
 
@@ -14,14 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moe_prune import ExpertTransform, prune_enum, prune_gvp, reconstruction_loss
+from moe_prune import (
+    ExpertTransform,
+    MoELayer,
+    cache_from_inputs,
+    prune_enum,
+    prune_gvp,
+    reconstruction_loss,
+)
+from moe_prune import moe_sim
 from moe_prune.metrics import _LossScorer
 from moe_prune.moe_sim import _combine, forward_subset_batch, subset_gate_weights
 
 from conftest import make_random_cache, make_random_layer
 
 
-def oracle_forward(layer, kept, inputs):
+def oracle_weights(layer, kept, inputs):
     idx = np.array(sorted(kept))
     logits = inputs @ layer.router[idx].T  # per kept set, never sliced from a larger product
     order = np.argsort(-logits, axis=1, kind="stable")[:, : min(layer.top_k, idx.size)]
@@ -32,6 +42,11 @@ def oracle_forward(layer, kept, inputs):
     top /= top.sum(axis=1, keepdims=True)
     weights = np.zeros_like(logits)
     weights[rows, order] = top
+    return weights, idx
+
+
+def oracle_forward(layer, kept, inputs):
+    weights, idx = oracle_weights(layer, kept, inputs)
     out = np.zeros_like(inputs)
     for col, e in enumerate(idx):
         out += weights[:, col : col + 1] * layer.experts[int(e)].apply(inputs)
@@ -106,14 +121,9 @@ def test_combine_kernel_matches_per_subset_formula(layer_cache, data):
     assert np.array_equal(cache.outputs_full, oracle_forward(layer, range(n), cache.inputs))
 
 
-@settings(deadline=None, max_examples=40)
-@given(layers_and_caches(max_n=7, max_tokens=64), st.data())
-def test_exhaustive_search_matches_oracle_loop(layer_cache, data):
-    layer, cache = layer_cache
-    n = layer.n_experts
-    r = data.draw(st.integers(1, n))
+def check_exhaustive_search(cache, layer, r):
     plan = prune_enum(cache, layer, r, mode="exhaustive")
-    subsets = list(itertools.combinations(range(n), r))
+    subsets = list(itertools.combinations(range(layer.n_experts), r))
     losses = [oracle_loss(cache, layer, s) for s in subsets]
     best = int(np.argmin(losses))  # first minimum: the lexicographically first subset
     assert plan.diagnostics["subsets"].tolist() == [list(s) for s in subsets]
@@ -122,17 +132,114 @@ def test_exhaustive_search_matches_oracle_loop(layer_cache, data):
     assert plan.kept == list(subsets[best])
 
 
-@settings(deadline=None, max_examples=40)
-@given(layers_and_caches(max_n=7, max_tokens=64), st.data())
-def test_greedy_search_matches_oracle_loop(layer_cache, data):
-    layer, cache = layer_cache
-    r = data.draw(st.integers(1, layer.n_experts))
+def check_greedy_search(cache, layer, r):
     plan = prune_enum(cache, layer, r, mode="greedy")
     kept, removed, step_losses, final_loss = oracle_greedy(cache, layer, r)
     assert plan.kept == kept
     assert plan.diagnostics["removed_order"].tolist() == removed
     assert plan.diagnostics["step_losses"].tolist() == step_losses
     assert plan.diagnostics["best_loss"] == final_loss
+
+
+@settings(deadline=None, max_examples=40)
+@given(layers_and_caches(max_n=7, max_tokens=64), st.data())
+def test_exhaustive_search_matches_oracle_loop(layer_cache, data):
+    layer, cache = layer_cache
+    check_exhaustive_search(cache, layer, data.draw(st.integers(1, layer.n_experts)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(layers_and_caches(max_n=7, max_tokens=64), st.data())
+def test_greedy_search_matches_oracle_loop(layer_cache, data):
+    layer, cache = layer_cache
+    check_greedy_search(cache, layer, data.draw(st.integers(1, layer.n_experts)))
+
+
+@st.composite
+def tied_layers_and_caches(draw, max_unique=4, max_copies=3, max_tokens=64):
+    """Layers whose experts come in exact copies (router row and weights),
+    placed at random indices, so copies' logits and outputs tie exactly.
+    With integer router rows and inputs every logit is an exact integer,
+    so distinct experts tie often too. top_k is n half the time, making
+    top_k >= |kept| for every kept set."""
+    copies = draw(st.lists(st.integers(1, max_copies), min_size=1, max_size=max_unique))
+    n = sum(copies)
+    top_k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    hidden = draw(st.integers(1, 6))
+    n_tokens = draw(st.integers(1, max_tokens))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = make_random_layer(rng, n=len(copies), hidden=hidden, ff=draw(st.integers(1, 8)), top_k=1)
+    source = rng.permutation(np.repeat(np.arange(len(copies)), copies))
+    router = rng.integers(-2, 3, base.router.shape) if integer else base.router
+    layer = MoELayer(
+        router=router[source],
+        experts=[ExpertTransform(base.experts[u].w_in, base.experts[u].w_out) for u in source],
+        top_k=top_k,
+    )
+    inputs = rng.standard_normal((n_tokens, hidden))
+    if integer:
+        inputs = rng.integers(-3, 4, inputs.shape)
+    return layer, cache_from_inputs(layer, inputs.astype(np.float32))
+
+
+@settings(deadline=None, max_examples=60)
+@given(tied_layers_and_caches(), st.data())
+def test_tied_routing_matches_per_subset_formula(layer_cache, data):
+    layer, cache = layer_cache
+    n = layer.n_experts
+    small = [set(s) for size in (1, 2) for s in itertools.combinations(range(n), size)]
+    scorer = _LossScorer(cache, layer)
+    for kept in data.draw(kept_sets(n)) + small + [set(range(n))]:
+        want_weights, want_idx = oracle_weights(layer, kept, cache.inputs)
+        weights, idx = subset_gate_weights(layer, kept, cache.inputs)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(weights, want_weights)
+        assert np.array_equal(
+            forward_subset_batch(layer, kept, cache.inputs),
+            oracle_forward(layer, kept, cache.inputs),
+        )
+        want = oracle_loss(cache, layer, kept)
+        assert scorer.loss(kept) == want
+        assert reconstruction_loss(cache, layer, kept) == want
+    assert scorer.loss(range(n)) == 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(tied_layers_and_caches(max_unique=3, max_copies=2, max_tokens=32), st.data())
+def test_tied_searches_match_oracle_loop(layer_cache, data):
+    layer, cache = layer_cache
+    r = data.draw(st.integers(1, layer.n_experts))
+    check_exhaustive_search(cache, layer, r)
+    check_greedy_search(cache, layer, r)
+
+
+def test_scorer_checks_once_per_search_and_kept_sets_per_call(rng, monkeypatch):
+    layer = make_random_layer(rng, n=8)
+    cache = make_random_cache(rng, layer)
+    calls = collections.Counter()
+    for name in ("_normalize_kept", "_as_f32"):
+        def counting(*args, _check=getattr(moe_sim, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setattr(moe_sim, name, counting)
+    plan = prune_enum(cache, layer, 4, mode="exhaustive")
+    assert len(plan.diagnostics["losses"]) == 70
+    # the search checks nothing per subset with these: cache and layer were checked when made
+    assert not calls, calls
+
+    scorer = _LossScorer(cache, layer)
+    for loss in (scorer.loss, lambda kept: reconstruction_loss(cache, layer, kept)):
+        for kept, problem in [
+            ([], "nonempty"), ([2, 5, 2], "unique"), ([0, 8], "out of range"), ([-1, 3], "out of range"),
+        ]:
+            with pytest.raises(ValueError, match=problem):
+                loss(kept)
+        want = loss([1, 4, 6])
+        assert loss({6, 1, 4}) == want
+        assert loss([6, 4, 1]) == want
+        assert loss(e for e in (4, 6, 1)) == want
 
 
 def watch_outputs(monkeypatch):
