@@ -18,6 +18,10 @@ __version__ = "0.1.0"
 # parser can list them without importing numpy.
 METHODS = ("random", "frequency", "enum_exhaustive", "enum_greedy", "gvp", "mop")
 
+# Most subsets an exhaustive search may score before greedy takes over. Here
+# for the same reason as METHODS, and not exported.
+DEFAULT_SUBSET_BUDGET = 100_000
+
 _EXPORTS = {
     "tensor_store": [
         "ArchiveError",
@@ -81,7 +85,7 @@ _NAME_TO_MODULE = {
     name: module for module, names in _EXPORTS.items() for name in names
 }
 
-__all__ = sorted(_NAME_TO_MODULE) + ["METHODS", "__version__"]
+__all__ = sorted([*_NAME_TO_MODULE, "METHODS", "__version__"])  # as dir() sorts
 
 
 def __getattr__(name):

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import METHODS
+from . import DEFAULT_SUBSET_BUDGET, METHODS
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -65,8 +65,12 @@ def load_config(path: str | None) -> dict:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path}: root must be a JSON object")
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
+            if isinstance(config.get(key), dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config {path}: {key!r} must be a JSON object")
                 config[key].update(value)
             else:
                 config[key] = value
@@ -203,7 +207,9 @@ def cmd_gen_calib(args: argparse.Namespace, outputs: _Outputs) -> int:
 
 def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
     from .moe_sim import load_cache, load_layer
-    from .prune import prune_with_method, save_plan
+    from .prune import (
+        PROVENANCE_BASELINE, PROVENANCE_DIVERSITY, PROVENANCE_GENERAL, prune_with_method, save_plan,
+    )
 
     layer = load_layer(args.model)
     cache = load_cache(args.cache)
@@ -237,7 +243,7 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
     )
     print(f"method: {plan.method}")
     print(f"kept: {plan.kept}")
-    for tag in ("general", "diversity", "baseline"):
+    for tag in (PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE):
         tagged = [i for i, t in zip(plan.kept, plan.provenance) if t == tag]
         if tagged:
             print(f"  {tag}: {tagged}")
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="general-core size for gvp/mop")
     p.add_argument("--seed", type=int, help="seed for the random baseline")
     p.add_argument("--kmeans-seed", type=int, help="domain-discovery seed for mop")
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET,
                    help="max subsets for exhaustive search")
     p.add_argument("--out", required=True, help="plan path prefix")
     p.set_defaults(func=cmd_prune)

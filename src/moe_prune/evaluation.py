@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _check_cache_layer
-from .moe_sim import CalibrationCache, MoELayer, _combine, subset_gate_weights
+from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
 from .prune import PruningPlan, prune_with_method
 
 
@@ -59,15 +59,10 @@ def evaluate_plan(
     n = plan.params.get("n")
     if n is not None and n != layer.n_experts:
         raise ValueError(f"plan was built for n={n} but layer has {layer.n_experts} experts")
-    if any(i >= layer.n_experts for i in plan.kept):
-        raise ValueError("plan keeps an expert the layer does not have")
     if heldout.source_domain is None:
         raise ValueError("held-out cache lacks source_domain labels for per-domain stats")
 
-    weights, idx = subset_gate_weights(layer, plan.kept, heldout.inputs)
-    pred = _combine(
-        weights, idx, lambda e: layer.experts[e].apply(heldout.inputs), layer.hidden_dim
-    )
+    pred, weights = _pruned_forward(layer, plan.kept, heldout.inputs)
     diff = pred.astype(np.float64) - heldout.outputs_full.astype(np.float64)
     per_token = (diff * diff).sum(axis=1)
 

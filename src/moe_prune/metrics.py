@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .moe_sim import CalibrationCache, MoELayer, _combine, _route, _sorted_kept
+from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
 
 
 @dataclass
@@ -62,7 +62,7 @@ class _LossScorer:
 
     The cache and the layer are checked once, when the scorer is made; each
     kept set is checked per call (nonempty, unique, in range) in plain
-    Python and routed by the routing kernel with no further checks. Router
+    Python by the pruned-layer forward, which checks nothing else. Router
     logits are still taken per kept set, but an expert's output does not
     depend on the set, so each one is computed on first use and reused until
     release(e). A search releases an expert once no later subset keeps it,
@@ -83,9 +83,8 @@ class _LossScorer:
         return out
 
     def loss(self, kept: Iterable[int]) -> float:
-        idx = _sorted_kept(kept, self._layer.n_experts)
-        weights = _route(self._layer, idx, self._cache.inputs)
-        diff = _combine(weights, idx, self._output, self._layer.hidden_dim).astype(np.float64)
+        pred, _ = _pruned_forward(self._layer, kept, self._cache.inputs, self._output)
+        diff = pred.astype(np.float64)
         diff -= self._target
         diff *= diff
         return float(diff.sum())

@@ -321,10 +321,6 @@ def _sorted_kept(kept: Iterable[int], n_experts: int) -> list[int]:
     return idx
 
 
-def _normalize_kept(layer: MoELayer, kept: Iterable[int]) -> np.ndarray:
-    return np.asarray(_sorted_kept(kept, layer.n_experts), dtype=np.int64)
-
-
 def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarray:
     """Routing weights [N, |kept|] of the kept experts `idx` for `inputs`.
 
@@ -362,46 +358,35 @@ def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarra
     return weights.reshape(s, n_rows).T
 
 
-def subset_gate_weights(
-    layer: MoELayer, kept: Iterable[int], inputs: np.ndarray
+def _pruned_forward(
+    layer: MoELayer,
+    kept: Iterable[int],
+    inputs: np.ndarray,
+    output: Callable[[int], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deployed routing weights of a pruned layer.
+    """Outputs [N, hidden_dim] and routing weights [N, |kept|] of the layer pruned to `kept`.
 
-    Softmax over the retained experts' logits, top-min(top_k, |kept|)
-    selection (ties to the lower expert index), renormalized to sum to 1.
-    Returns (weights [N, |kept|], kept indices ascending).
+    Checks `kept`; `inputs` must be a checked f32 [N, hidden_dim] array. The
+    output adds each weight column times `output(e)`, expert e's output on
+    the rows, over the kept experts in ascending order, which makes every
+    caller's result bit-identical. By default each expert is applied when
+    its turn comes, so only one output is alive at a time.
     """
-    idx = _normalize_kept(layer, kept)
-    return _route(layer, idx, _as_f32("inputs", inputs, 2)), idx
-
-
-def _combine(
-    weights: np.ndarray,
-    idx: Sequence[int],
-    output: Callable[[int], np.ndarray],
-    hidden_dim: int,
-) -> np.ndarray:
-    """Sum of weights[:, col] * output(e) over the kept experts, ascending.
-
-    `weights` [N, |kept|] and `idx` come from the routing kernel; `output(e)`
-    gives expert e's output [N, hidden_dim] on the routed rows. The fixed
-    summation order is what makes every caller's result bit-identical,
-    whether it applies experts on the fly or reuses outputs computed once.
-    """
-    out = np.zeros((weights.shape[0], hidden_dim), dtype=np.float32)
+    idx = _sorted_kept(kept, layer.n_experts)
+    weights = _route(layer, idx, inputs)
+    if output is None:
+        output = lambda e: layer.experts[e].apply(inputs)
+    out = np.zeros((inputs.shape[0], layer.hidden_dim), dtype=np.float32)
     for column, e in zip(weights.T, idx):
-        out += column[:, None] * output(int(e))
-    return out
+        out += column[:, None] * output(e)
+    return out, weights
 
 
 def forward_subset_batch(
     layer: MoELayer, kept: Iterable[int], inputs: np.ndarray
 ) -> np.ndarray:
     """Pruned-layer outputs for a batch; kept = all reproduces the full layer."""
-    idx = _normalize_kept(layer, kept)
-    inputs = _as_f32("inputs", inputs, 2)
-    weights = _route(layer, idx, inputs)
-    return _combine(weights, idx, lambda e: layer.experts[e].apply(inputs), layer.hidden_dim)
+    return _pruned_forward(layer, kept, _as_f32("inputs", inputs, 2))[0]
 
 
 # ---------------------------------------------------------------------------

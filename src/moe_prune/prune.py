@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import METHODS, tensor_store
+from . import DEFAULT_SUBSET_BUDGET, METHODS, tensor_store
 from .cluster import kmeans, similarity_matrix, ward_partition
 from .metrics import (
     _LossScorer,
@@ -32,8 +32,6 @@ from .metrics import (
 )
 from .moe_sim import CalibrationCache, MoELayer
 
-DEFAULT_SUBSET_BUDGET = 100_000
-
 PROVENANCE_GENERAL = "general"
 PROVENANCE_DIVERSITY = "diversity"
 PROVENANCE_BASELINE = "baseline"
@@ -42,6 +40,11 @@ PROVENANCE_BASELINE = "baseline"
 def default_general_count(r: int) -> int:
     """Default size of the general core: half the slots, never all of them."""
     return min(math.ceil(r / 2), r - 1)
+
+
+def _check_r(r: int, n: int) -> None:
+    if not 1 <= r <= n:
+        raise ValueError(f"r {r} outside [1, {n}]")
 
 
 @dataclass
@@ -117,8 +120,7 @@ def _plan(method: str, kept: Iterable[int], tags: dict[int, str], params: dict,
 
 def prune_random(n: int, r: int, seed: int) -> PruningPlan:
     """Keep a uniformly random r-subset of the n experts."""
-    if not 1 <= r <= n:
-        raise ValueError(f"r {r} outside [1, {n}]")
+    _check_r(r, n)
     rng = np.random.default_rng(seed)
     kept = sorted(int(i) for i in rng.choice(n, size=r, replace=False))
     return PruningPlan(
@@ -132,8 +134,7 @@ def prune_random(n: int, r: int, seed: int) -> PruningPlan:
 def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> PruningPlan:
     """Keep the r most frequently top-k-activated experts."""
     n = layer.n_experts
-    if not 1 <= r <= n:
-        raise ValueError(f"r {r} outside [1, {n}]")
+    _check_r(r, n)
     counts = activation_frequency(cache, layer.top_k)
     order = np.argsort(-counts, kind="stable")
     kept = sorted(int(i) for i in order[:r])
@@ -212,6 +213,11 @@ def _search_greedy(
     return current, final_loss, diag
 
 
+def _search_mode(n: int, size: int, budget: int) -> str:
+    """Exhaustive when the C(n, size) subsets fit the budget, greedy otherwise."""
+    return "exhaustive" if math.comb(n, size) <= budget else "greedy"
+
+
 def prune_enum(
     cache: CalibrationCache,
     layer: MoELayer,
@@ -221,8 +227,7 @@ def prune_enum(
 ) -> PruningPlan:
     """Minimize reconstruction loss over r-subsets, exactly or greedily."""
     n = layer.n_experts
-    if not 1 <= r <= n:
-        raise ValueError(f"r {r} outside [1, {n}]")
+    _check_r(r, n)
     if mode == "exhaustive":
         kept, loss, diag = _search_exhaustive(cache, layer, r, budget)
     elif mode == "greedy":
@@ -239,27 +244,26 @@ def prune_enum(
 
 
 def _select_general(
-    cache: CalibrationCache,
-    layer: MoELayer,
-    m: int,
-    budget: int,
-    allow_greedy_fallback: bool,
-) -> tuple[list[int], dict]:
-    """Stage 1 shared by gvp and mop: the m-subset minimizing reconstruction loss."""
+    cache: CalibrationCache, layer: MoELayer, r: int, m: int | None, budget: int
+) -> tuple[int, list[int], list[int], dict]:
+    """Stage 1 shared by gvp and mop: the enum search for the best m-subset.
+
+    Checks r and m (default: default_general_count(r)). Returns m, the
+    general core, the remaining candidates ascending and the stage diagnostics.
+    """
+    n = layer.n_experts
+    _check_r(r, n)
+    if m is None:
+        m = default_general_count(r)
+    if not 0 <= m < r:
+        raise ValueError(f"m {m} outside [0, {r})")
     if m == 0:
-        return [], {"stage1_mode": "none"}
-    if math.comb(layer.n_experts, m) <= budget:
-        kept, loss, diag = _search_exhaustive(cache, layer, m, budget)
-        mode = "exhaustive"
-    elif allow_greedy_fallback:
-        kept, loss, diag = _search_greedy(cache, layer, m)
-        mode = "greedy"
-    else:
-        raise ValueError(
-            f"C({layer.n_experts}, {m}) exceeds the budget of {budget} and the "
-            "greedy fallback is disabled"
-        )
-    return kept, {"stage1_mode": mode, "stage1_loss": loss}
+        return m, [], list(range(n)), {"stage1_mode": "none"}
+    mode = _search_mode(n, m, budget)
+    core = prune_enum(cache, layer, m, mode=mode, budget=budget)
+    candidates = sorted(set(range(n)) - set(core.kept))
+    stage_diag = {"stage1_mode": mode, "stage1_loss": core.diagnostics["best_loss"]}
+    return m, core.kept, candidates, stage_diag
 
 
 def prune_gvp(
@@ -268,20 +272,10 @@ def prune_gvp(
     r: int,
     m: int | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    allow_greedy_fallback: bool = True,
 ) -> PruningPlan:
     """General core by reconstruction loss, then a global variability ranking."""
-    n = layer.n_experts
-    if not 1 <= r <= n:
-        raise ValueError(f"r {r} outside [1, {n}]")
-    if m is None:
-        m = default_general_count(r)
-    if not 0 <= m < r:
-        raise ValueError(f"m {m} outside [0, {r})")
-
-    general, stage_diag = _select_general(cache, layer, m, budget, allow_greedy_fallback)
+    m, general, candidates, stage_diag = _select_general(cache, layer, r, m, budget)
     scores = variability_scores(cache)
-    candidates = [i for i in range(n) if i not in set(general)]
     by_score = sorted(candidates, key=lambda i: (-scores.scores[i], i))
     diversity = by_score[: r - m]
 
@@ -291,10 +285,10 @@ def prune_gvp(
         "gvp",
         general + diversity,
         tags,
-        {"n": n, "r": r, "m": m, "K": None, "seed": None},
+        {"n": layer.n_experts, "r": r, "m": m, "K": None, "seed": None},
         {
             "s_var": scores.scores,
-            "general": np.asarray(sorted(general), dtype=np.int32),
+            "general": np.asarray(general, dtype=np.int32),
             **stage_diag,
         },
     )
@@ -307,27 +301,13 @@ def prune_mop(
     m: int | None = None,
     kmeans_seed: int = 0,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    allow_greedy_fallback: bool = True,
-    kmeans_max_iters: int = 100,
-    kmeans_restarts: int = 8,
 ) -> PruningPlan:
     """Cluster-then-select: one top-variability representative per expert group."""
-    n = layer.n_experts
-    if not 1 <= r <= n:
-        raise ValueError(f"r {r} outside [1, {n}]")
-    if m is None:
-        m = default_general_count(r)
-    if not 0 <= m < r:
-        raise ValueError(f"m {m} outside [0, {r})")
+    m, general, candidates, stage_diag = _select_general(cache, layer, r, m, budget)
     n_groups = r - m
 
-    general, stage_diag = _select_general(cache, layer, m, budget, allow_greedy_fallback)
-    candidates = [i for i in range(n) if i not in set(general)]
-
-    labeling = kmeans(
-        cache.inputs, n_groups, seed=kmeans_seed,
-        max_iters=kmeans_max_iters, n_init=kmeans_restarts,
-    )
+    # restarts guard against two k-means++ seeds landing in one planted domain
+    labeling = kmeans(cache.inputs, n_groups, seed=kmeans_seed, max_iters=100, n_init=8)
     perf = performance_matrix(cache, layer, candidates, labeling.labels)
     sim = similarity_matrix(perf)
     partition = ward_partition(perf, sim, n_groups)
@@ -344,10 +324,10 @@ def prune_mop(
         "mop",
         general + representatives,
         tags,
-        {"n": n, "r": r, "m": m, "K": n_groups, "seed": kmeans_seed},
+        {"n": layer.n_experts, "r": r, "m": m, "K": n_groups, "seed": kmeans_seed},
         {
             "s_var": scores.scores,
-            "general": np.asarray(sorted(general), dtype=np.int32),
+            "general": np.asarray(general, dtype=np.int32),
             "labels": labeling.labels,
             "centroids": labeling.centroids,
             "groups": [list(g) for g in partition.groups],
@@ -379,7 +359,7 @@ def prune_with_method(
     if method == "frequency":
         return prune_frequency(cache, layer, r)
     if method == "enum":
-        mode = "exhaustive" if math.comb(layer.n_experts, r) <= budget else "greedy"
+        mode = _search_mode(layer.n_experts, r, budget)
         return prune_enum(cache, layer, r, mode=mode, budget=budget)
     if method == "enum_exhaustive":
         return prune_enum(cache, layer, r, mode="exhaustive", budget=budget)

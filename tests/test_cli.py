@@ -89,6 +89,19 @@ def test_equal_seeds_rejected_before_writing(tmp_path, capsys):
     assert not os.path.exists(out + ".bin")
 
 
+@pytest.mark.parametrize(
+    "doc, named", [([1, 2], "root"), ({"model": 3}, "'model'"), ({"heldout": []}, "'heldout'")]
+)
+def test_non_object_config_rejected_before_writing(tmp_path, capsys, doc, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = str(tmp_path / "model")
+    assert run(["gen-model", "--config", str(config), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config) in err and named in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_prune_mop_provenance_split(pipeline, tmp_path, capsys):
     config, model, calib, heldout = pipeline
     plan_path = str(tmp_path / "plan_mop")

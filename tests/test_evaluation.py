@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from moe_prune import (
     comparison_to_text,
     evaluate_plan,
     export_heatmap_csv,
+    load_plan,
     prune_enum,
     prune_gvp,
     prune_mop,
@@ -50,15 +53,26 @@ def test_eval_routes_once(planted_fixture, monkeypatch):
     spec, layer, calib, heldout = planted_fixture
     plan = prune_random(8, 4, seed=3)
     calls = []
-    route = evaluation.subset_gate_weights
+    forward = evaluation._pruned_forward
 
-    def counting_route(*args):
+    def counting_forward(*args):
         calls.append(args[1])
-        return route(*args)
+        return forward(*args)
 
-    monkeypatch.setattr(evaluation, "subset_gate_weights", counting_route)
+    monkeypatch.setattr(evaluation, "_pruned_forward", counting_forward)
     evaluate_plan(layer, plan, heldout)
     assert calls == [plan.kept]
+
+
+def test_eval_rejects_plan_keeping_missing_expert(planted_fixture, tmp_path):
+    spec, layer, calib, heldout = planted_fixture
+    # no "n" param, so the plan itself cannot range-check its kept set
+    doc = {"method": "random", "params": {"r": 2}, "kept": [0, layer.n_experts],
+           "provenance": ["baseline"] * 2, "diagnostics_archive": None}
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    plan = load_plan(tmp_path / "plan")
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate_plan(layer, plan, heldout)
 
 
 def test_worst_domain_is_max(planted_fixture):

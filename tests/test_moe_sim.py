@@ -18,7 +18,7 @@ from moe_prune import (
     save_cache,
     save_layer,
 )
-from moe_prune.moe_sim import forward_subset_batch, gate_batch, subset_gate_weights
+from moe_prune.moe_sim import _route, _sorted_kept, forward_subset_batch, gate_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
 
@@ -284,7 +284,8 @@ def test_forward_subset_rejects_bad_kept(rng):
 def test_subset_weights_rows_sum_to_one(rng):
     layer = make_random_layer(rng, n=6, hidden=8, top_k=2)
     X = rng.standard_normal((20, 8)).astype(np.float32)
-    weights, idx = subset_gate_weights(layer, [0, 2, 3, 5], X)
+    idx = _sorted_kept([0, 2, 3, 5], layer.n_experts)
+    weights = _route(layer, idx, X)
     assert list(idx) == [0, 2, 3, 5]
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
     # exactly top_k entries per row are nonzero

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -248,9 +249,7 @@ def test_mop_deterministic():
 def test_mop_budget_fallback_disabled(rng):
     layer = make_random_layer(rng, n=8)
     cache = make_random_cache(rng, layer)
-    with pytest.raises(ValueError, match="fallback"):
-        prune_mop(cache, layer, r=5, m=4, budget=10, allow_greedy_fallback=False)
-    # with the fallback enabled the same call succeeds via greedy stage 1
+    # C(8, 4) = 70 subsets exceed the budget, so stage 1 goes greedy
     plan = prune_mop(cache, layer, r=5, m=4, budget=10)
     assert plan.diagnostics["stage1_mode"] == "greedy"
 
@@ -325,6 +324,17 @@ def test_dispatch_enum_auto_mode(rng):
     assert auto.method == "enum_exhaustive"
     forced = prune_with_method(cache, layer, "enum", r=3, budget=5)
     assert forced.method == "enum_greedy"
+
+
+def test_search_mode_flips_at_budget_edge(rng):
+    layer = make_random_layer(rng, n=6)
+    cache = make_random_cache(rng, layer)
+    edge = math.comb(6, 3)
+    for budget, mode in ((edge, "exhaustive"), (edge - 1, "greedy")):
+        assert prune_with_method(cache, layer, "enum", r=3, budget=budget).method == f"enum_{mode}"
+        for prune in (prune_gvp, prune_mop):
+            plan = prune(cache, layer, r=4, m=3, budget=budget)
+            assert plan.diagnostics["stage1_mode"] == mode, (prune.__name__, budget)
 
 
 def test_dispatch_unknown_method(rng):

@@ -1,10 +1,10 @@
 """Differential tests of the subset-scoring path.
 
-The routing and combine kernels, the per-search loss scorer and the two
-subset searches are compared bit for bit with the per-subset formula they
-replaced, which routes token-major and applies every kept expert anew for
-every kept set, also on layers whose logits tie exactly. That formula lives
-only here, as the oracle.
+The routing kernel, the pruned-layer forward, the per-search loss scorer
+and the two subset searches are compared bit for bit with the per-subset
+formula they replaced, which routes token-major and applies every kept
+expert anew for every kept set, also on layers whose logits tie exactly.
+That formula lives only here, as the oracle.
 """
 
 import collections
@@ -26,7 +26,7 @@ from moe_prune import (
 )
 from moe_prune import moe_sim
 from moe_prune.metrics import _LossScorer
-from moe_prune.moe_sim import _combine, forward_subset_batch, subset_gate_weights
+from moe_prune.moe_sim import _pruned_forward, _route, _sorted_kept, forward_subset_batch
 
 from conftest import make_random_cache, make_random_layer
 
@@ -116,8 +116,7 @@ def test_combine_kernel_matches_per_subset_formula(layer_cache, data):
     for kept in data.draw(kept_sets(n)) + [{0}, set(range(min(n, 2))), set(range(n))]:
         want = oracle_forward(layer, kept, x)
         assert np.array_equal(forward_subset_batch(layer, kept, x), want)
-        weights, idx = subset_gate_weights(layer, kept, x)
-        assert np.array_equal(_combine(weights, idx, outputs.__getitem__, layer.hidden_dim), want)
+        assert np.array_equal(_pruned_forward(layer, kept, x, outputs.__getitem__)[0], want)
     assert np.array_equal(cache.outputs_full, oracle_forward(layer, range(n), cache.inputs))
 
 
@@ -192,7 +191,8 @@ def test_tied_routing_matches_per_subset_formula(layer_cache, data):
     scorer = _LossScorer(cache, layer)
     for kept in data.draw(kept_sets(n)) + small + [set(range(n))]:
         want_weights, want_idx = oracle_weights(layer, kept, cache.inputs)
-        weights, idx = subset_gate_weights(layer, kept, cache.inputs)
+        idx = _sorted_kept(kept, n)
+        weights = _route(layer, idx, cache.inputs)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(weights, want_weights)
         assert np.array_equal(
@@ -218,7 +218,7 @@ def test_scorer_checks_once_per_search_and_kept_sets_per_call(rng, monkeypatch):
     layer = make_random_layer(rng, n=8)
     cache = make_random_cache(rng, layer)
     calls = collections.Counter()
-    for name in ("_normalize_kept", "_as_f32"):
+    for name in ("_as_f32",):
         def counting(*args, _check=getattr(moe_sim, name), _name=name):
             calls[_name] += 1
             return _check(*args)
