@@ -60,6 +60,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_type(path: str, name: str, value, default) -> None:
+    """`value` must have the type of its default; an int stands in for a float."""
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if not isinstance(value, expected) or isinstance(value, bool) != isinstance(default, bool):
+        raise ConfigError(
+            f"config {path}: {name} must be {type(default).__name__}, got {type(value).__name__}"
+        )
+
+
 def load_config(path: str | None) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
@@ -68,11 +77,17 @@ def load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"config {path}: root must be a JSON object")
         for key, value in user.items():
-            if isinstance(config.get(key), dict):
+            default = config.get(key)
+            if isinstance(default, dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config {path}: {key!r} must be a JSON object")
-                config[key].update(value)
+                for name, item in value.items():
+                    if name in default:
+                        _check_type(path, f"{key}.{name}", item, default[name])
+                default.update(value)
             else:
+                if key in config:
+                    _check_type(path, key, value, default)
                 config[key] = value
     return config
 

@@ -10,6 +10,7 @@ toward the lowest index so results are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,18 +85,63 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _assign_with_repair(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid, ties to the lowest index: exactly
+    `_sq_dists(points, centroids).argmin(axis=1)`, certified row by row.
+
+    The distances come from products, |x|^2 - 2 x.c + |c|^2 (`sq_norms`
+    holds |x|^2). In any summation order, and with or without fused
+    multiply-adds, both this form and `_sq_dists` compute |x - c|^2 within
+    g_(d+2) (|x| + |c|)^2 of the true value, g_m = m u / (1 - m u): one sums
+    d rounded squares of rounded differences, the other takes three dot
+    products and two additions. A row whose gap between its two smallest
+    product-form distances exceeds twice the sum of those errors,
+    4 g_(d+2) (|x| + max |c|)^2, therefore has the same unique argmin under
+    `_sq_dists`. The bound is taken with g_(d+4), which covers the rounding
+    of the gap and of the bound, plus an absolute term for underflow. Rows
+    inside it, and rows whose gap is not finite (overflow, or k = 1), are
+    recomputed with `_sq_dists`, whose bits for a row do not depend on the
+    other rows.
+    """
+    n, d = points.shape
+    c2 = (centroids * centroids).sum(axis=1)
+    # [k, n]: numpy reduces over the short centroid axis fastest this way. One
+    # matrix-vector product per centroid, because a first float64 matrix
+    # product makes OpenBLAS touch another 256 KB of its packing buffer.
+    dist = np.empty((centroids.shape[0], n))
+    for row, centroid in zip(dist, centroids):
+        np.dot(points, centroid, out=row)
+    dist *= -2.0
+    dist += c2[:, None]
+    dist += sq_norms
+    labels = dist.argmin(axis=0)
+    rows = np.arange(n)
+    best = dist[labels, rows]
+    dist[labels, rows] = np.inf
+    gap = dist.min(axis=0) - best
+    u = 2.0**-53  # unit roundoff of float64
+    gamma = (d + 4) * u / (1.0 - (d + 4) * u)
+    reach = np.sqrt(sq_norms) + np.sqrt(c2.max())
+    bound = 4.0 * gamma * reach * reach + (d + 4) * 2.0**-1070
+    unsure = np.flatnonzero(~(np.isfinite(gap) & (gap > bound)))
+    if unsure.size:
+        labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
+    return labels
+
+
+def _assign_with_repair(
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
     """Assign points (ties to the lowest centroid index); reseed empty clusters
     at the point farthest from its assigned centroid until none are empty."""
     k = centroids.shape[0]
     for _ in range(k + 1):
-        d2 = _sq_dists(points, centroids)
-        labels = d2.argmin(axis=1)
+        labels = _nearest(points, sq_norms, centroids)
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             return labels
-        own = d2[np.arange(points.shape[0]), labels].copy()
+        own = _sq_dists(points, centroids)[np.arange(points.shape[0]), labels]
         for j in empties:
             far = int(own.argmax())
             centroids[j] = points[far]
@@ -115,14 +161,15 @@ def _wcss(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> floa
 
 
 def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) -> DomainLabeling:
+    sq_norms = (pts * pts).sum(axis=1)
     centroids = _kmeanspp_init(pts, k, rng)
-    labels = _assign_with_repair(pts, centroids)
+    labels = _assign_with_repair(pts, sq_norms, centroids)
     history = [_wcss(pts, labels, centroids)]
     iterations_run = 0
     for _ in range(max_iters):
         iterations_run += 1
         centroids = _group_means(pts, labels, k)
-        new_labels = _assign_with_repair(pts, centroids)
+        new_labels = _assign_with_repair(pts, sq_norms, centroids)
         history.append(_wcss(pts, new_labels, centroids))
         if np.array_equal(new_labels, labels):
             break
@@ -188,6 +235,22 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _centered_ranks(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fractional ranks minus their mean, and their sum of squares."""
+    ranks = fractional_ranks(values)
+    centered = ranks - ranks.mean()
+    return centered, float(np.dot(centered, centered))
+
+
+def _rho(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
+    """Pearson correlation of two `_centered_ranks` results, 0 if either is constant."""
+    (cu, ss_u), (cv, ss_v) = u, v
+    if ss_u == 0.0 or ss_v == 0.0:
+        return 0.0
+    rho = float(np.dot(cu, cv)) / np.sqrt(ss_u * ss_v)
+    return float(min(1.0, max(-1.0, rho)))
+
+
 def spearman_rho(u: np.ndarray, v: np.ndarray) -> float:
     """Rank correlation of two equal-length vectors (K >= 2).
 
@@ -202,31 +265,25 @@ def spearman_rho(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("rank correlation needs at least 2 entries")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("inputs contain non-finite values")
-    ru = fractional_ranks(u)
-    rv = fractional_ranks(v)
-    cu = ru - ru.mean()
-    cv = rv - rv.mean()
-    ss_u = float(np.dot(cu, cu))
-    ss_v = float(np.dot(cv, cv))
-    if ss_u == 0.0 or ss_v == 0.0:
-        return 0.0
-    rho = float(np.dot(cu, cv)) / np.sqrt(ss_u * ss_v)
-    return float(min(1.0, max(-1.0, rho)))
+    return _rho(_centered_ranks(u), _centered_ranks(v))
 
 
 def similarity_matrix(perf: PerformanceMatrix) -> SimilarityMatrix:
     """Pairwise (1 + rho)/2 over performance-vector rows; diagonal forced to 1.
 
-    With a single domain column every row is constant, so the constant-
-    vector convention (rho := 0) applies directly: all off-diagonal 0.5.
+    Each row is ranked once; every pair's rho is then the one spearman_rho
+    gives, bit for bit. With a single domain column every row is constant,
+    so the constant-vector convention (rho := 0) applies directly: all
+    off-diagonal 0.5.
     """
     errors = perf.errors
     c, n_domains = errors.shape
     s = np.full((c, c), 0.5, dtype=np.float64)
     if n_domains >= 2:
+        rows = [_centered_ranks(row) for row in errors]
         for i in range(c):
             for j in range(i + 1, c):
-                rho = spearman_rho(errors[i], errors[j])
+                rho = _rho(rows[i], rows[j])
                 s[i, j] = s[j, i] = min(1.0, max(0.0, 0.5 * (1.0 + rho)))
     np.fill_diagonal(s, 1.0)
     return SimilarityMatrix(s=s, candidate_ids=perf.candidate_ids.copy())
@@ -251,42 +308,37 @@ def ward_partition(
     ids = [int(i) for i in sim.candidate_ids]
     if list(perf.candidate_ids) != ids:
         raise ValueError("performance matrix and similarity matrix disagree on candidates")
+    if len(set(ids)) != len(ids):
+        raise ValueError("candidate ids must be unique")
     c = len(ids)
     if not 1 <= target_groups <= c:
         raise ValueError(f"target_groups {target_groups} outside [1, {c}]")
 
-    members: list[list[int]] = [[ids[i]] for i in range(c)]
-    centroids: list[np.ndarray] = [perf.errors[i].astype(np.float64) for i in range(c)]
-    order = sorted(range(c), key=lambda i: members[i][0])
-    members = [members[i] for i in order]
-    centroids = [centroids[i] for i in order]
+    # clusters and pair costs are keyed by smallest member; a pair's cost
+    # depends only on its two clusters, so after a merge only the merged
+    # cluster's pairs are costed again, with the same formula and bits
+    members = {e: [e] for e in ids}
+    centroids = {e: row.astype(np.float64) for e, row in zip(ids, perf.errors)}
 
+    def pair_cost(a: int, b: int) -> float:
+        na, nb = len(members[a]), len(members[b])
+        delta = centroids[a] - centroids[b]
+        return (na * nb / (na + nb)) * float(np.dot(delta, delta))
+
+    costs = {(a, b): pair_cost(a, b) for a, b in itertools.combinations(sorted(ids), 2)}
     trace: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
     while len(members) > target_groups:
-        best: tuple[float, int, int] | None = None
-        best_pair = (-1, -1)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                na, nb = len(members[a]), len(members[b])
-                delta = centroids[a] - centroids[b]
-                cost = (na * nb / (na + nb)) * float(np.dot(delta, delta))
-                key = (cost, members[a][0], members[b][0])
-                if best is None or key < best:
-                    best = key
-                    best_pair = (a, b)
-        a, b = best_pair
-        assert best is not None
-        cost = best[0]
+        cost, a, b = min((cost, a, b) for (a, b), cost in costs.items())
         na, nb = len(members[a]), len(members[b])
-        merged = sorted(members[a] + members[b])
-        centroid = (na * centroids[a] + nb * centroids[b]) / (na + nb)
         trace.append((tuple(members[a]), tuple(members[b]), cost))
-        keep = [i for i in range(len(members)) if i not in (a, b)]
-        members = [members[i] for i in keep] + [merged]
-        centroids = [centroids[i] for i in keep] + [centroid]
-        order = sorted(range(len(members)), key=lambda i: members[i][0])
-        members = [members[i] for i in order]
-        centroids = [centroids[i] for i in order]
+        members[a] = sorted(members[a] + members.pop(b))
+        centroids[a] = (na * centroids[a] + nb * centroids.pop(b)) / (na + nb)
+        costs = {pair: v for pair, v in costs.items() if a not in pair and b not in pair}
+        for e in members:
+            if e != a:
+                pair = (min(a, e), max(a, e))
+                costs[pair] = pair_cost(*pair)
 
-    return ExpertPartition(groups=members, merge_trace=trace)
+    groups = [members[e] for e in sorted(members)]
+    return ExpertPartition(groups=groups, merge_trace=trace)
 

@@ -134,7 +134,6 @@ class CalibrationCache:
     inputs: np.ndarray        # [N, hidden_dim]
     outputs_full: np.ndarray  # [N, hidden_dim]
     gate_probs: np.ndarray    # [N, n_experts], full softmax (not top-k masked)
-    domain_labels: np.ndarray | None = None  # discovered labels in [0, K)
     source_domain: np.ndarray | None = None  # generator ground truth
 
     def __post_init__(self) -> None:
@@ -156,13 +155,10 @@ class CalibrationCache:
             raise ValueError(
                 f"gate_probs row {worst} sums to {row_sums[worst]:.8f}, expected 1"
             )
-        for attr in ("domain_labels", "source_domain"):
-            vec = getattr(self, attr)
-            if vec is not None:
-                vec = np.ascontiguousarray(vec, dtype=np.int32)
-                if vec.shape != (n,):
-                    raise ValueError(f"{attr} must have one entry per token")
-                setattr(self, attr, vec)
+        if self.source_domain is not None:
+            self.source_domain = np.ascontiguousarray(self.source_domain, dtype=np.int32)
+            if self.source_domain.shape != (n,):
+                raise ValueError("source_domain must have one entry per token")
 
     @property
     def n_tokens(self) -> int:
@@ -278,15 +274,24 @@ def generate_calibration(
 def cache_from_inputs(
     layer: MoELayer, inputs: np.ndarray, source_domain: np.ndarray | None = None
 ) -> CalibrationCache:
-    """Cache arbitrary inputs: full-layer outputs plus full gate distribution."""
-    inputs = _as_f32("inputs", inputs, 2)
+    """Cache arbitrary inputs: full-layer outputs plus full gate distribution.
+
+    The inputs are scanned for non-finite values once, by the cache, after
+    the layer has run on them (with floating-point warnings off, since it
+    may run on the values the cache then rejects).
+    """
+    inputs = np.ascontiguousarray(inputs, dtype=np.float32)
+    if inputs.ndim != 2:
+        raise ValueError(f"inputs must be 2-dimensional, got shape {inputs.shape}")
     if inputs.shape[1] != layer.hidden_dim:
         raise ValueError("inputs width does not match layer hidden_dim")
-    all_experts = list(range(layer.n_experts))
+    with np.errstate(all="ignore"):
+        outputs_full = _pruned_forward(layer, range(layer.n_experts), inputs)[0]
+        gate_probs = _gate(layer, inputs)
     return CalibrationCache(
         inputs=inputs,
-        outputs_full=forward_subset_batch(layer, all_experts, inputs),
-        gate_probs=gate_batch(layer, inputs),
+        outputs_full=outputs_full,
+        gate_probs=gate_probs,
         source_domain=source_domain,
     )
 
@@ -297,7 +302,11 @@ def cache_from_inputs(
 
 def gate_batch(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
     """Full softmax over all experts for each row of `inputs`, shape [N, n]."""
-    inputs = _as_f32("inputs", inputs, 2)
+    return _gate(layer, _as_f32("inputs", inputs, 2))
+
+
+def _gate(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
+    """gate_batch for a checked f32 [N, hidden_dim] array; nothing is checked here."""
     logits = inputs @ layer.router.T
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
@@ -445,8 +454,6 @@ def save_cache(cache: CalibrationCache, path: str, extra_metadata: dict[str, str
         ("outputs_full", cache.outputs_full),
         ("gate_probs", cache.gate_probs),
     ]
-    if cache.domain_labels is not None:
-        arrays.append(("domain_labels", cache.domain_labels))
     if cache.source_domain is not None:
         arrays.append(("source_domain", cache.source_domain))
     metadata = {"kind": "calibration_cache", "n_tokens": str(cache.n_tokens)}
@@ -463,6 +470,5 @@ def load_cache(path: str) -> CalibrationCache:
         inputs=arrays["inputs"],
         outputs_full=arrays["outputs_full"],
         gate_probs=arrays["gate_probs"],
-        domain_labels=arrays.get("domain_labels"),
         source_domain=arrays.get("source_domain"),
     )

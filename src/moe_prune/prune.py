@@ -18,7 +18,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -94,24 +93,13 @@ class PruningPlan:
                 homes.append(home[0])
             if len(set(homes)) != len(homes):
                 raise ValueError("diversity experts must map to distinct groups")
-
-    def general_experts(self) -> list[int]:
-        return [i for i, t in zip(self.kept, self.provenance) if t == PROVENANCE_GENERAL]
+        # ascending, as the pruned forward orders its weight columns
+        pairs = sorted(zip(self.kept, self.provenance))
+        self.kept = [i for i, _ in pairs]
+        self.provenance = [tag for _, tag in pairs]
 
     def diversity_experts(self) -> list[int]:
         return [i for i, t in zip(self.kept, self.provenance) if t == PROVENANCE_DIVERSITY]
-
-
-def _plan(method: str, kept: Iterable[int], tags: dict[int, str], params: dict,
-          diagnostics: dict) -> PruningPlan:
-    kept_sorted = sorted(int(i) for i in kept)
-    return PruningPlan(
-        method=method,
-        kept=kept_sorted,
-        provenance=[tags[i] for i in kept_sorted],
-        params=params,
-        diagnostics=diagnostics,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +110,9 @@ def prune_random(n: int, r: int, seed: int) -> PruningPlan:
     """Keep a uniformly random r-subset of the n experts."""
     _check_r(r, n)
     rng = np.random.default_rng(seed)
-    kept = sorted(int(i) for i in rng.choice(n, size=r, replace=False))
     return PruningPlan(
         method="random",
-        kept=kept,
+        kept=rng.choice(n, size=r, replace=False),
         provenance=[PROVENANCE_BASELINE] * r,
         params={"n": n, "r": r, "m": None, "K": None, "seed": seed},
     )
@@ -137,10 +124,9 @@ def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> Pruning
     _check_r(r, n)
     counts = activation_frequency(cache, layer.top_k)
     order = np.argsort(-counts, kind="stable")
-    kept = sorted(int(i) for i in order[:r])
     return PruningPlan(
         method="frequency",
-        kept=kept,
+        kept=order[:r],
         provenance=[PROVENANCE_BASELINE] * r,
         params={"n": n, "r": r, "m": None, "K": None, "seed": None},
         diagnostics={"activation_counts": counts},
@@ -236,7 +222,7 @@ def prune_enum(
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
     return PruningPlan(
         method=f"enum_{mode}",
-        kept=sorted(kept),
+        kept=kept,
         provenance=[PROVENANCE_BASELINE] * r,
         params={"n": n, "r": r, "m": None, "K": None, "seed": None},
         diagnostics=diag,
@@ -279,12 +265,10 @@ def prune_gvp(
     by_score = sorted(candidates, key=lambda i: (-scores.scores[i], i))
     diversity = by_score[: r - m]
 
-    tags = {i: PROVENANCE_GENERAL for i in general}
-    tags.update({i: PROVENANCE_DIVERSITY for i in diversity})
-    return _plan(
+    return PruningPlan(
         "gvp",
         general + diversity,
-        tags,
+        [PROVENANCE_GENERAL] * len(general) + [PROVENANCE_DIVERSITY] * len(diversity),
         {"n": layer.n_experts, "r": r, "m": m, "K": None, "seed": None},
         {
             "s_var": scores.scores,
@@ -318,12 +302,10 @@ def prune_mop(
         best = min(group, key=lambda i: (-scores.scores[i], i))
         representatives.append(best)
 
-    tags = {i: PROVENANCE_GENERAL for i in general}
-    tags.update({i: PROVENANCE_DIVERSITY for i in representatives})
-    return _plan(
+    return PruningPlan(
         "mop",
         general + representatives,
-        tags,
+        [PROVENANCE_GENERAL] * len(general) + [PROVENANCE_DIVERSITY] * len(representatives),
         {"n": layer.n_experts, "r": r, "m": m, "K": n_groups, "seed": kmeans_seed},
         {
             "s_var": scores.scores,

@@ -102,6 +102,42 @@ def test_non_object_config_rejected_before_writing(tmp_path, capsys, doc, named)
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+def test_config_value_of_wrong_type_rejected_from_command_line(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"seed": "x"}}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "moe_prune.cli", "gen-model", "--config", str(config),
+         "--out", str(tmp_path / "model")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: config {config}: model.seed must be int, got str\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"model": {"top_k": 2.0}}, "model.top_k must be int, got float"),
+        ({"calibration": {"seed": True}}, "calibration.seed must be int, got bool"),
+        ({"model": {"domain_separation": "20"}}, "model.domain_separation must be float, got str"),
+        ({"methods": {"method": "mop"}}, "methods must be list, got dict"),
+    ],
+)
+def test_config_value_types_checked(tmp_path, capsys, doc, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run(["gen-model", "--config", str(config), "--out", str(tmp_path / "model")]) == 1
+    assert named in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_config_int_accepted_for_float(tmp_path):
+    path = write_config(tmp_path, model={"domain_separation": 20, "duplicate_noise": 0})
+    assert cli.load_config(path)["model"]["domain_separation"] == 20
+
+
 def test_prune_mop_provenance_split(pipeline, tmp_path, capsys):
     config, model, calib, heldout = pipeline
     plan_path = str(tmp_path / "plan_mop")

@@ -1,7 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moe_prune import cluster
 from moe_prune.cluster import (
     ExpertPartition,
     fractional_ranks,
@@ -11,6 +17,9 @@ from moe_prune.cluster import (
     ward_partition,
 )
 from moe_prune.metrics import PerformanceMatrix
+from moe_prune.prune import prune_mop
+
+from conftest import make_planted
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +298,9 @@ def test_ward_validation(rng):
     other = make_perf(rng.random((4, 3)), ids=[9, 10, 11, 12])
     with pytest.raises(ValueError, match="disagree"):
         ward_partition(other, sim, 2)
+    twice = make_perf(rng.random((4, 3)), ids=[9, 10, 9, 12])
+    with pytest.raises(ValueError, match="unique"):
+        ward_partition(twice, similarity_matrix(twice), 2)
 
 
 def test_partition_invariants():
@@ -299,3 +311,264 @@ def test_partition_invariants():
     with pytest.raises(ValueError, match="nonnegative"):
         ExpertPartition(groups=[[0]], merge_trace=[((0,), (1,), -1.0)])
 
+
+# ---------------------------------------------------------------------------
+# differential tests: the cluster kernels against the direct formulas, bit for bit
+
+
+def oracle_assign_with_repair(points, centroids):
+    """Every distance by the broadcast formula; repairs `centroids` in place."""
+    k = centroids.shape[0]
+    for _ in range(k + 1):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return labels
+        own = d2[np.arange(points.shape[0]), labels].copy()
+        for j in empties:
+            far = int(own.argmax())
+            centroids[j] = points[far]
+            own[far] = -1.0
+    raise ValueError("could not repair empty clusters; k exceeds distinct points")
+
+
+def oracle_kmeans(points, k, seed, max_iters, n_init):
+    """Seeded Lloyd restarts with the broadcast assignment: (labels, centroids,
+    wcss, iterations_run, wcss_history) of the lowest-WCSS restart."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        centroids = cluster._kmeanspp_init(points, k, rng)
+        labels = oracle_assign_with_repair(points, centroids)
+        history = [cluster._wcss(points, labels, centroids)]
+        iterations = 0
+        for _ in range(max_iters):
+            iterations += 1
+            centroids = cluster._group_means(points, labels, k)
+            new_labels = oracle_assign_with_repair(points, centroids)
+            history.append(cluster._wcss(points, new_labels, centroids))
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        wcss = cluster._wcss(points, labels, centroids)
+        if best is None or wcss < best[2]:
+            best = (labels, centroids, wcss, iterations, history)
+    return best
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+
+@st.composite
+def tie_prone_points(draw, max_n=40, max_d=5, max_k=6):
+    """Points and centroids on a half-integer grid, so many points sit exactly
+    at or (jittered) near ties, with duplicate centroids, scaled from the
+    underflow range to the overflow range and offset where the product form
+    cancels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    k = draw(st.integers(1, max_k))
+    spread = draw(st.integers(1, 4))
+    points = rng.integers(-spread, spread + 1, (n, d)) / 2.0
+    centroids = rng.integers(-spread, spread + 1, (k, d)) / 2.0
+    if k > 1 and draw(st.booleans()):
+        centroids[rng.integers(k)] = centroids[rng.integers(k)]
+    if draw(st.booleans()):
+        centroids[rng.integers(k)] += 1e3  # far away: its cluster may be empty
+    if draw(st.booleans()):
+        points += rng.standard_normal((n, d)) * draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e-150, 1e150, 1e153, 1e154, 1e160]))
+    offset = draw(st.sampled_from([0.0, 0.0, 1e6, -1e6, 3e8]))
+    return points * scale + offset, centroids * scale + offset
+
+
+def check_assignment(points, centroids):
+    got_centroids, want_centroids = centroids.copy(), centroids.copy()
+    with np.errstate(over="ignore"):
+        sq_norms = (points * points).sum(axis=1)
+    got = outcome(cluster._assign_with_repair, points, sq_norms, got_centroids)
+    want = outcome(oracle_assign_with_repair, points, want_centroids)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_centroids.tobytes() == want_centroids.tobytes()
+
+
+@settings(deadline=None, max_examples=400)
+@given(tie_prone_points())
+def test_assignment_matches_broadcast_formula(points_centroids):
+    check_assignment(*points_centroids)
+
+
+@pytest.mark.parametrize(
+    "points, centroids",
+    [
+        # exact ties between duplicate centroids and at midpoints, offset so
+        # the product form rounds them apart
+        ([[1e6 + 1], [1e6 - 1], [1e6]], [[1e6 + 0.5], [1e6 + 0.5], [1e6 - 0.5]]),
+        # |x|^2 overflows, so every product-form distance is NaN or inf; the
+        # broadcast form still puts each point at distance 0 from its copy
+        ([[3e154], [-3e154]], [[2.9e154], [3e154], [-3e154]]),
+        # the squares underflow: both distances round to the smallest
+        # subnormal, while the product form puts centroid 1 nearer
+        ([[3e-162], [1e-170]], [[5e-162], [1e-162]]),
+        # k = 1
+        ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0]]),
+        # the far centroid gets no point and is reseeded
+        ([[0.0], [1.0], [2.0], [10.0]], [[1.0], [1e9], [9.0]]),
+    ],
+)
+def test_assignment_fixed_cases(points, centroids):
+    check_assignment(np.array(points), np.array(centroids))
+
+
+@settings(deadline=None, max_examples=150)
+@given(tie_prone_points(max_n=30, max_d=3, max_k=5), st.data())
+def test_kmeans_matches_broadcast_lloyd(points_centroids, data):
+    points = points_centroids[0]
+    k = data.draw(st.integers(1, points.shape[0]))
+    args = (k, data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 12)),
+            data.draw(st.integers(1, 3)))
+    got = outcome(kmeans, points, *args)
+    want = outcome(oracle_kmeans, points, *args)
+    if isinstance(want, str):
+        assert got == want
+        return
+    labels, centroids, wcss, iterations, history = want
+    assert got.labels.tobytes() == labels.astype(np.int32).tobytes()
+    assert got.centroids.tobytes() == centroids.tobytes()
+    assert np.array(got.wcss_history).tobytes() == np.array(history).tobytes()
+    assert got.iterations_run == iterations
+    assert np.float64(got.wcss).tobytes() == np.float64(wcss).tobytes()
+
+
+def oracle_rho(u, v):
+    ru, rv = fractional_ranks(u), fractional_ranks(v)
+    cu, cv = ru - ru.mean(), rv - rv.mean()
+    ss_u, ss_v = float(np.dot(cu, cu)), float(np.dot(cv, cv))
+    if ss_u == 0.0 or ss_v == 0.0:
+        return 0.0
+    rho = float(np.dot(cu, cv)) / np.sqrt(ss_u * ss_v)
+    return float(min(1.0, max(-1.0, rho)))
+
+
+def oracle_similarity(errors):
+    c, n_domains = errors.shape
+    s = np.full((c, c), 0.5)
+    if n_domains >= 2:
+        for i in range(c):
+            for j in range(i + 1, c):
+                rho = oracle_rho(errors[i], errors[j])
+                s[i, j] = s[j, i] = min(1.0, max(0.0, 0.5 * (1.0 + rho)))
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+@st.composite
+def performance_rows(draw, max_c=12, max_domains=6):
+    """Performance matrices with tied, constant and duplicated rows, one
+    domain column or several, over distinct candidate ids in any order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, max_c))
+    n_domains = draw(st.integers(1, max_domains))
+    if draw(st.booleans()):
+        errors = rng.integers(0, draw(st.integers(1, 4)) + 1, (c, n_domains)).astype(float)
+    else:
+        errors = rng.random((c, n_domains)) * draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    if draw(st.booleans()):
+        errors[rng.integers(c)] = errors[rng.integers(c)]
+    if draw(st.booleans()):
+        errors[rng.integers(c)] = 2.5  # a constant row
+    ids = rng.permutation(max_c * 4)[:c]
+    return make_perf(errors, ids=list(ids))
+
+
+@settings(deadline=None, max_examples=200)
+@given(performance_rows())
+def test_similarity_matches_pairwise_spearman(perf):
+    assert similarity_matrix(perf).s.tobytes() == oracle_similarity(perf.errors).tobytes()
+    first, last = perf.errors[0], perf.errors[-1]
+    if first.size >= 2:
+        want = oracle_rho(first, last)
+        assert np.float64(spearman_rho(first, last)).tobytes() == np.float64(want).tobytes()
+
+
+def oracle_ward(perf, target_groups):
+    """Every pair costed on every merge, in (min member, min member) order."""
+    ids = [int(i) for i in perf.candidate_ids]
+    c = len(ids)
+    members = [[ids[i]] for i in range(c)]
+    centroids = [perf.errors[i].astype(np.float64) for i in range(c)]
+    order = sorted(range(c), key=lambda i: members[i][0])
+    members = [members[i] for i in order]
+    centroids = [centroids[i] for i in order]
+    trace = []
+    while len(members) > target_groups:
+        best = None
+        best_pair = (-1, -1)
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                na, nb = len(members[a]), len(members[b])
+                delta = centroids[a] - centroids[b]
+                cost = (na * nb / (na + nb)) * float(np.dot(delta, delta))
+                key = (cost, members[a][0], members[b][0])
+                if best is None or key < best:
+                    best = key
+                    best_pair = (a, b)
+        a, b = best_pair
+        na, nb = len(members[a]), len(members[b])
+        merged = sorted(members[a] + members[b])
+        centroid = (na * centroids[a] + nb * centroids[b]) / (na + nb)
+        trace.append((tuple(members[a]), tuple(members[b]), best[0]))
+        keep = [i for i in range(len(members)) if i not in (a, b)]
+        members = [members[i] for i in keep] + [merged]
+        centroids = [centroids[i] for i in keep] + [centroid]
+        order = sorted(range(len(members)), key=lambda i: members[i][0])
+        members = [members[i] for i in order]
+        centroids = [centroids[i] for i in order]
+    return members, trace
+
+
+@settings(deadline=None, max_examples=200)
+@given(performance_rows(max_c=14), st.data())
+def test_ward_matches_full_rescan(perf, data):
+    target = data.draw(st.integers(1, perf.errors.shape[0]))
+    got = ward_partition(perf, similarity_matrix(perf), target)
+    groups, trace = oracle_ward(perf, target)
+    assert got.groups == groups
+    assert [(a, b, cost.hex()) for a, b, cost in got.merge_trace] == [
+        (a, b, cost.hex()) for a, b, cost in trace
+    ]
+
+
+# sha256 of a small mop plan's cluster-stage diagnostics as the direct
+# formulas gave them, with numpy 2.4 and OpenBLAS 0.3 (perf_errors come from
+# the layer's matrix products, so another BLAS build may round them apart)
+GOLDEN_MOP = {
+    "labels": "0c648e4ecc9341d02262c01e3f15169b18584b9dd0481fed562cc09abcd79ce3",
+    "centroids": "658acafa1ea99d8a27bb2251821bf0e71b60f209de8bffc9e8beed8f1dcd721c",
+    "similarity": "41d2d2b12561e3d7bc39d36ab9e20a522c291d53c5f37406b6ab9b0157231b9a",
+    "perf_errors": "77c0349c1209ae7eadb9db4003567d238af225a94056b4c10a17cb9bbe513d7b",
+    "groups": "b2b8d901873614852fc390a244f908a54578473ca9fe67fac3c005955244cc2e",
+}
+
+
+def test_mop_cluster_stage_bytes_pinned():
+    _, layer, calib, _ = make_planted(seed=7)
+    diag = prune_mop(calib, layer, r=5, m=1, kmeans_seed=3).diagnostics
+    got = {
+        key: hashlib.sha256(np.ascontiguousarray(diag[key]).tobytes()).hexdigest()
+        for key in ("labels", "centroids", "similarity", "perf_errors")
+    }
+    got["groups"] = hashlib.sha256(json.dumps(diag["groups"]).encode()).hexdigest()
+    assert got == GOLDEN_MOP

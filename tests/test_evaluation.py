@@ -18,6 +18,7 @@ from moe_prune import (
 )
 from moe_prune import evaluation
 from moe_prune.evaluation import report_to_csv
+from moe_prune.prune import PruningPlan
 
 from conftest import (
     make_planted,
@@ -188,6 +189,21 @@ def test_heatmap_csv_shape_and_determinism(tmp_path, planted_fixture):
     export_heatmap_csv(report, tmp_path / "hm")
     again = [open(p, "rb").read() for p in first]
     assert contents == again
+
+
+def test_heatmap_columns_follow_expert_order(tmp_path):
+    # a hand-built plan listing its experts out of order: kept is sorted with its
+    # tags, so each heatmap column sits under its own expert's name
+    spec, layer, calib, heldout = make_planted(seed=3)
+    plan = PruningPlan("random", [6, 0], ["baseline"] * 2, {"n": 8, "r": 2})
+    assert plan.kept == [0, 6]
+    report = evaluate_plan(layer, plan, heldout)
+    export_heatmap_csv(report, tmp_path / "hm")
+    header, row = (tmp_path / "hm_domain0.csv").read_text().splitlines()
+    assert header == "layer,expert_0,expert_6"
+    assert float(row.split(",")[1]) > 0.99  # domain-0 tokens go to specialist 0
+    mixed = PruningPlan("gvp", [5, 2], ["diversity", "general"], {"n": 8, "r": 2, "m": 1})
+    assert (mixed.kept, mixed.provenance) == ([2, 5], ["general", "diversity"])
 
 
 def test_report_csv_single_row(planted_fixture):

@@ -1,4 +1,6 @@
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from moe_prune import (
     save_cache,
     save_layer,
 )
+from moe_prune import moe_sim
 from moe_prune.moe_sim import _route, _sorted_kept, forward_subset_batch, gate_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
@@ -333,6 +336,31 @@ def test_cache_from_inputs_consistent(rng):
     assert np.array_equal(cache.gate_probs, gate_batch(layer, cache.inputs))
 
 
+def test_cache_from_inputs_scans_inputs_once(rng, monkeypatch):
+    layer = make_random_layer(rng, n=4, hidden=6)
+    calls = collections.Counter()
+    check = moe_sim._as_f32
+
+    def counting(name, value, ndim):
+        calls[name] += 1
+        return check(name, value, ndim)
+
+    monkeypatch.setattr(moe_sim, "_as_f32", counting)
+    cache_from_inputs(layer, rng.standard_normal((10, 6)))
+    assert calls == {"inputs": 1, "outputs_full": 1, "gate_probs": 1}
+    for bad in (np.nan, np.inf, -np.inf):
+        inputs = rng.standard_normal((10, 6))
+        inputs[3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inputs contains non-finite values"):
+                cache_from_inputs(layer, inputs)
+    with pytest.raises(ValueError, match="width"):
+        cache_from_inputs(layer, np.zeros((10, 5)))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        cache_from_inputs(layer, np.zeros(6))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -357,4 +385,3 @@ def test_cache_archive_round_trip(tmp_path):
     assert np.array_equal(loaded.outputs_full, calib.outputs_full)
     assert np.array_equal(loaded.gate_probs, calib.gate_probs)
     assert np.array_equal(loaded.source_domain, calib.source_domain)
-    assert loaded.domain_labels is None

@@ -157,7 +157,8 @@ def test_gvp_m_r_minus_one_takes_top_score(rng):
     spec, layer, calib, _ = make_planted(seed=31)
     plan = prune_gvp(calib, layer, r=3, m=2)
     scores = variability_scores(calib)
-    candidates = [i for i in range(8) if i not in plan.general_experts()]
+    general = [i for i, tag in zip(plan.kept, plan.provenance) if tag == "general"]
+    candidates = [i for i in range(8) if i not in general]
     best = min(candidates, key=lambda i: (-scores.scores[i], i))
     assert plan.diversity_experts() == [best]
 
@@ -235,7 +236,10 @@ def test_mop_shares_stage_one_with_gvp():
     spec, layer, calib, _ = make_planted(seed=44)
     mop = prune_mop(calib, layer, r=5, m=2, kmeans_seed=3)
     gvp = prune_gvp(calib, layer, r=5, m=2)
-    assert mop.general_experts() == gvp.general_experts()
+    mop_general, gvp_general = (
+        [i for i, tag in zip(plan.kept, plan.provenance) if tag == "general"] for plan in (mop, gvp)
+    )
+    assert mop_general == gvp_general
 
 
 def test_mop_deterministic():
