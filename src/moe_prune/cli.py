@@ -13,7 +13,7 @@ console entry point guarantees).
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,8 +44,6 @@ DEFAULT_CONFIG = {
     },
     "calibration": {"tokens_per_domain": 128, "seed": 2024},
     "heldout": {"tokens_per_domain": 128, "seed": 9090},
-    "methods": [{"method": "mop", "r": 4, "m": 1, "seeds": [0]}],
-    "output_dir": "runs",
 }
 
 
@@ -60,36 +58,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_type(path: str, name: str, value, default) -> None:
-    """`value` must have the type of its default; an int stands in for a float."""
+def _merge(path: str | None, name: str, default, value):
+    """`value` laid over `default`, as a new object.
+
+    An object may hold only the default's keys; any other value must have
+    the default's type, where an int may stand in for a float and a bool is
+    never an int.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            what = repr(name) if name else "root"
+            raise ConfigError(f"config {path}: {what} must be a JSON object")
+        prefix = name + "." if name else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"config {path}: unknown key {prefix + key!r}")
+        return {
+            key: _merge(path, prefix + key, item, value.get(key, item))
+            for key, item in default.items()
+        }
     expected = (int, float) if isinstance(default, float) else type(default)
     if not isinstance(value, expected) or isinstance(value, bool) != isinstance(default, bool):
         raise ConfigError(
             f"config {path}: {name} must be {type(default).__name__}, got {type(value).__name__}"
         )
+    return value
 
 
 def load_config(path: str | None) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    """DEFAULT_CONFIG with the JSON object at `path`, if given, laid over it."""
+    user: dict = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {path}: root must be a JSON object")
-        for key, value in user.items():
-            default = config.get(key)
-            if isinstance(default, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config {path}: {key!r} must be a JSON object")
-                for name, item in value.items():
-                    if name in default:
-                        _check_type(path, f"{key}.{name}", item, default[name])
-                default.update(value)
-            else:
-                if key in config:
-                    _check_type(path, key, value, default)
-                config[key] = value
-    return config
+    return _merge(path, "", DEFAULT_CONFIG, user)
 
 
 def validate_config(config: dict) -> None:
@@ -98,9 +100,6 @@ def validate_config(config: dict) -> None:
             "calibration.seed must differ from heldout.seed "
             f"(both are {config['calibration']['seed']})"
         )
-    for entry in config.get("methods", []):
-        if entry.get("method") not in METHOD_CHOICES:
-            raise ConfigError(f"methods[].method: unknown method {entry.get('method')!r}")
 
 
 def config_hash(config: dict) -> str:
@@ -153,14 +152,19 @@ def _ensure_parent_dir(prefix: str) -> str:
 def _planted_spec(model_cfg: dict):
     from .moe_sim import PlantedSpec
 
-    return PlantedSpec(
-        n_domains=model_cfg["n_domains"],
-        specialists_per_domain=model_cfg["specialists_per_domain"],
-        n_generalists=model_cfg["n_generalists"],
-        duplicate_noise=model_cfg["duplicate_noise"],
-        domain_separation=model_cfg["domain_separation"],
-        seed=model_cfg["seed"],
-    )
+    return PlantedSpec(**{f.name: model_cfg[f.name] for f in dataclasses.fields(PlantedSpec)})
+
+
+def _save_generated(args, config: dict, outputs: _Outputs, save, obj, metadata: dict) -> int:
+    """The tail of gen-model and gen-calib: write the archive and its provenance."""
+    out_dir = _ensure_parent_dir(args.out)
+    manifest = save(obj, args.out, {"config_hash": config_hash(config), **metadata})
+    outputs.track_archive(args.out)
+    _write_provenance(out_dir, args.command, config, outputs)
+    print(f"config hash: {config_hash(config)}")
+    for entry in manifest.arrays:
+        print(f"  {entry.name}: {list(entry.shape)} {entry.dtype}")
+    return 0
 
 
 def cmd_gen_model(args: argparse.Namespace, outputs: _Outputs) -> int:
@@ -177,14 +181,7 @@ def cmd_gen_model(args: argparse.Namespace, outputs: _Outputs) -> int:
         ff_dim=config["model"]["ff_dim"],
         top_k=config["model"]["top_k"],
     )
-    out_dir = _ensure_parent_dir(args.out)
-    manifest = save_layer(layer, args.out, {"config_hash": config_hash(config)})
-    outputs.track_archive(args.out)
-    _write_provenance(out_dir, "gen-model", config, outputs)
-    print(f"config hash: {config_hash(config)}")
-    for entry in manifest.arrays:
-        print(f"  {entry.name}: {list(entry.shape)} {entry.dtype}")
-    return 0
+    return _save_generated(args, config, outputs, save_layer, layer, {})
 
 
 def cmd_gen_calib(args: argparse.Namespace, outputs: _Outputs) -> int:
@@ -202,22 +199,9 @@ def cmd_gen_calib(args: argparse.Namespace, outputs: _Outputs) -> int:
     cache = generate_calibration(
         layer, spec, tokens_per_domain=section["tokens_per_domain"], seed=section["seed"]
     )
-    out_dir = _ensure_parent_dir(args.out)
-    manifest = save_cache(
-        cache,
-        args.out,
-        {
-            "config_hash": config_hash(config),
-            "role": args.role,
-            "seed": str(section["seed"]),
-        },
+    return _save_generated(
+        args, config, outputs, save_cache, cache, {"role": args.role, "seed": str(section["seed"])}
     )
-    outputs.track_archive(args.out)
-    _write_provenance(out_dir, "gen-calib", config, outputs)
-    print(f"config hash: {config_hash(config)}")
-    for entry in manifest.arrays:
-        print(f"  {entry.name}: {list(entry.shape)} {entry.dtype}")
-    return 0
 
 
 def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
@@ -228,34 +212,16 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
 
     layer = load_layer(args.model)
     cache = load_cache(args.cache)
-    plan = prune_with_method(
-        cache,
-        layer,
-        method=args.method,
-        r=args.r,
-        m=args.m,
-        seed=args.seed,
-        kmeans_seed=args.kmeans_seed,
-        budget=args.budget,
-    )
+    params = {
+        name: getattr(args, name) for name in ("method", "r", "m", "seed", "kmeans_seed", "budget")
+    }
+    plan = prune_with_method(cache, layer, **params)
     out_dir = _ensure_parent_dir(args.out)
     save_plan(plan, args.out)
     outputs.track(args.out + ".json")
     if plan.diagnostics:
         outputs.track_archive(args.out + ".diag")
-    _write_provenance(
-        out_dir,
-        "prune",
-        {
-            "method": args.method,
-            "r": args.r,
-            "m": args.m,
-            "seed": args.seed,
-            "kmeans_seed": args.kmeans_seed,
-            "budget": args.budget,
-        },
-        outputs,
-    )
+    _write_provenance(out_dir, "prune", params, outputs)
     print(f"method: {plan.method}")
     print(f"kept: {plan.kept}")
     for tag in (PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE):
@@ -283,16 +249,8 @@ def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
     outputs.track(report_path)
     written = export_heatmap_csv(report, os.path.join(args.out, "heatmap"))
     outputs.track(*written)
-    _write_provenance(
-        args.out,
-        "eval",
-        {
-            "model": os.path.basename(args.model),
-            "plan": os.path.basename(args.plan),
-            "heldout": os.path.basename(args.heldout),
-        },
-        outputs,
-    )
+    inputs = {name: os.path.basename(getattr(args, name)) for name in ("model", "plan", "heldout")}
+    _write_provenance(args.out, "eval", inputs, outputs)
     print(f"method: {report.method}")
     print(f"overall loss: {report.overall_loss:.6f}")
     print(f"worst-domain loss: {report.worst_domain_loss:.6f}")

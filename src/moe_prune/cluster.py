@@ -76,6 +76,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     d2 = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("k-means++: squared distances between the points overflow float64")
         if total > 0:
             pick = rng.choice(n, p=d2 / total)
         else:

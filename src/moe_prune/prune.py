@@ -416,6 +416,8 @@ def load_plan(path: str | os.PathLike) -> PruningPlan:
     if doc.get("diagnostics_archive"):
         diag_path = os.path.join(os.path.dirname(path), doc["diagnostics_archive"])
         manifest, arrays = tensor_store.read_archive(diag_path)
+        if manifest.metadata.get("kind") != "plan_diagnostics":
+            raise tensor_store.ArchiveError(f"archive {diag_path} does not hold plan_diagnostics")
         if "groups_offsets" in arrays:
             diagnostics["groups"] = _decode_groups(
                 arrays.pop("groups_offsets"), arrays.pop("groups_members")

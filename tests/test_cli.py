@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from moe_prune import cli
 from moe_prune.cli import main
-from moe_prune.moe_sim import load_layer
+from moe_prune.moe_sim import PlantedSpec, load_cache, load_layer
 from moe_prune.prune import load_plan
 from moe_prune.tensor_store import read_archive, write_archive
 
@@ -122,7 +123,8 @@ def test_config_value_of_wrong_type_rejected_from_command_line(tmp_path):
         ({"model": {"top_k": 2.0}}, "model.top_k must be int, got float"),
         ({"calibration": {"seed": True}}, "calibration.seed must be int, got bool"),
         ({"model": {"domain_separation": "20"}}, "model.domain_separation must be float, got str"),
-        ({"methods": {"method": "mop"}}, "methods must be list, got dict"),
+        ({"model": {"sed": 5}}, "unknown key 'model.sed'"),
+        ({"methods": []}, "unknown key 'methods'"),
     ],
 )
 def test_config_value_types_checked(tmp_path, capsys, doc, named):
@@ -136,6 +138,44 @@ def test_config_value_types_checked(tmp_path, capsys, doc, named):
 def test_config_int_accepted_for_float(tmp_path):
     path = write_config(tmp_path, model={"domain_separation": 20, "duplicate_noise": 0})
     assert cli.load_config(path)["model"]["domain_separation"] == 20
+
+
+def test_default_config_holds_only_what_the_commands_read():
+    assert set(cli.DEFAULT_CONFIG) == {"model", "calibration", "heldout"}
+    spec_fields = {field.name for field in dataclasses.fields(PlantedSpec)}
+    assert set(cli.DEFAULT_CONFIG["model"]) == spec_fields | {"hidden_dim", "ff_dim", "top_k"}
+    for role in ("calibration", "heldout"):
+        assert set(cli.DEFAULT_CONFIG[role]) == {"tokens_per_domain", "seed"}
+
+
+def test_seed_flags_match_equivalent_config(tmp_path):
+    # each flag run and its config run share one effective config, so even
+    # the manifests (which carry its hash) are byte-identical
+    config = write_config(tmp_path)
+    run(["gen-model", "--config", config, "--seed", "5", "--out", str(tmp_path / "flag")])
+    config = write_config(tmp_path, model={"seed": 5})
+    run(["gen-model", "--config", config, "--out", str(tmp_path / "conf")])
+    run(["gen-calib", "--config", config, "--model", str(tmp_path / "conf"),
+         "--seed", "7", "--tokens-per-domain", "10", "--out", str(tmp_path / "flag_calib")])
+    config = write_config(tmp_path, model={"seed": 5},
+                          calibration={"seed": 7, "tokens_per_domain": 10})
+    run(["gen-calib", "--config", config, "--model", str(tmp_path / "conf"),
+         "--out", str(tmp_path / "conf_calib")])
+    for name in ("", "_calib"):
+        for ext in (".bin", ".json"):
+            flag, conf = (tmp_path / f"{side}{name}{ext}" for side in ("flag", "conf"))
+            assert flag.read_bytes() == conf.read_bytes()
+    assert load_cache(str(tmp_path / "flag_calib")).n_tokens == 3 * 10
+
+
+def test_heldout_seed_flag_equal_to_calibration_seed_rejected(pipeline, tmp_path, capsys):
+    config, model, calib, heldout = pipeline
+    before = sorted(os.listdir(tmp_path))
+    code = run(["gen-calib", "--config", config, "--model", model, "--role", "heldout",
+                "--seed", "1", "--out", str(tmp_path / "sub" / "heldout")])
+    assert code == 1
+    assert "calibration.seed must differ from heldout.seed" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_prune_mop_provenance_split(pipeline, tmp_path, capsys):
@@ -152,6 +192,16 @@ def test_prune_mop_provenance_split(pipeline, tmp_path, capsys):
     assert plan.provenance.count("diversity") == 2
     printed = capsys.readouterr().out
     assert "general:" in printed and "diversity:" in printed
+
+
+def test_prune_m_defaults_to_half_of_r(pipeline, tmp_path):
+    config, model, calib, heldout = pipeline
+    plan_path = str(tmp_path / "default_m" / "plan")
+    assert run(["prune", "--model", model, "--cache", calib,
+                "--method", "mop", "--r", "4", "--out", plan_path]) == 0
+    assert load_plan(plan_path).params["m"] == 2
+    provenance = json.loads((tmp_path / "default_m" / "provenance.json").read_text())
+    assert provenance["config"]["m"] is None
 
 
 def test_prune_enum_auto_exhaustive_diagnostics(pipeline, tmp_path, capsys):

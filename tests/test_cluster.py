@@ -117,6 +117,9 @@ def test_kmeans_validation(rng):
         kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
     with pytest.raises(ValueError, match="max_iters"):
         kmeans(points, 2, seed=0, max_iters=0)
+    # finite points whose squared distances sum past float64's range
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="squared distances .* overflow"):
+        kmeans([[1e160], [-1e160], [0.0]], 2, seed=0)
 
 
 # ---------------------------------------------------------------------------

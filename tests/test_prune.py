@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moe_prune import (
+    ArchiveError,
     PruningPlan,
     activation_frequency,
     load_plan,
@@ -16,6 +17,7 @@ from moe_prune import (
     prune_random,
     prune_with_method,
     reconstruction_loss,
+    save_layer,
     save_plan,
     variability_scores,
 )
@@ -192,6 +194,24 @@ def test_default_general_count():
     assert default_general_count(5) == 3
 
 
+@pytest.mark.parametrize("prune", [prune_gvp, prune_mop])
+@pytest.mark.parametrize("r", [2, 4, 5])
+def test_m_defaults_to_default_general_count(prune, r):
+    spec, layer, calib, _ = make_planted(seed=43)
+    implicit = prune(calib, layer, r=r)
+    explicit = prune(calib, layer, r=r, m=default_general_count(r))
+    assert implicit.kept == explicit.kept
+    assert implicit.provenance == explicit.provenance
+    assert implicit.params == explicit.params
+    assert implicit.params["m"] == default_general_count(r)
+    assert implicit.diagnostics.keys() == explicit.diagnostics.keys()
+    for key, value in implicit.diagnostics.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, explicit.diagnostics[key])
+        else:
+            assert value == explicit.diagnostics[key]
+
+
 # ---------------------------------------------------------------------------
 # mop
 
@@ -319,6 +339,17 @@ def test_plan_round_trip_without_diagnostics(tmp_path):
     loaded = load_plan(tmp_path / "plain")
     assert loaded.kept == plan.kept
     assert not (tmp_path / "plain.diag.json").exists()
+
+
+def test_plan_diagnostics_archive_kind_checked(tmp_path):
+    spec, layer, calib, _ = make_planted(seed=46)
+    save_plan(prune_gvp(calib, layer, r=4, m=1), tmp_path / "plan")
+    save_layer(layer, str(tmp_path / "layer"))
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    doc["diagnostics_archive"] = "layer"
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    with pytest.raises(ArchiveError, match="layer.*plan_diagnostics"):
+        load_plan(tmp_path / "plan")
 
 
 def test_dispatch_enum_auto_mode(rng):
