@@ -138,9 +138,9 @@ def _write_provenance(out_dir: str, command: str, config: dict, outputs: _Output
         "config_hash": config_hash(config),
     }
     path = os.path.join(out_dir, "provenance.json")
+    outputs.track(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    outputs.track(path)
 
 
 def _ensure_parent_dir(prefix: str) -> str:
@@ -158,8 +158,8 @@ def _planted_spec(model_cfg: dict):
 def _save_generated(args, config: dict, outputs: _Outputs, save, obj, metadata: dict) -> int:
     """The tail of gen-model and gen-calib: write the archive and its provenance."""
     out_dir = _ensure_parent_dir(args.out)
-    manifest = save(obj, args.out, {"config_hash": config_hash(config), **metadata})
     outputs.track_archive(args.out)
+    manifest = save(obj, args.out, {"config_hash": config_hash(config), **metadata})
     _write_provenance(out_dir, args.command, config, outputs)
     print(f"config hash: {config_hash(config)}")
     for entry in manifest.arrays:
@@ -217,10 +217,10 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
     }
     plan = prune_with_method(cache, layer, **params)
     out_dir = _ensure_parent_dir(args.out)
-    save_plan(plan, args.out)
-    outputs.track(args.out + ".json")
     if plan.diagnostics:
         outputs.track_archive(args.out + ".diag")
+    outputs.track(args.out + ".json")
+    save_plan(plan, args.out)
     _write_provenance(out_dir, "prune", params, outputs)
     print(f"method: {plan.method}")
     print(f"kept: {plan.kept}")
@@ -234,7 +234,7 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
-    from .evaluation import evaluate_plan, export_heatmap_csv, report_to_csv
+    from .evaluation import _heatmap_paths, evaluate_plan, export_heatmap_csv, report_to_csv
     from .moe_sim import load_cache, load_layer
     from .prune import load_plan
 
@@ -244,11 +244,12 @@ def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
     report = evaluate_plan(layer, plan, heldout)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
+    outputs.track(report_path)
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report_to_csv(report))
-    outputs.track(report_path)
-    written = export_heatmap_csv(report, os.path.join(args.out, "heatmap"))
-    outputs.track(*written)
+    heatmap = os.path.join(args.out, "heatmap")
+    outputs.track(*_heatmap_paths(report, heatmap))
+    export_heatmap_csv(report, heatmap)
     inputs = {name: os.path.basename(getattr(args, name)) for name in ("model", "plan", "heldout")}
     _write_provenance(args.out, "eval", inputs, outputs)
     print(f"method: {report.method}")
@@ -276,9 +277,9 @@ def cmd_report(args: argparse.Namespace, outputs: _Outputs) -> int:
     table = "\n".join(lines) + "\n"
     if args.out:
         _ensure_parent_dir(args.out)
+        outputs.track(args.out)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table)
-        outputs.track(args.out)
     print(table, end="")
     return 0
 

@@ -182,18 +182,18 @@ def comparison_to_text(rows: list[dict]) -> str:
 # exports
 
 
+def _heatmap_paths(report: EvalReport, path_prefix: str | os.PathLike) -> list[str]:
+    return [f"{os.fspath(path_prefix)}_domain{d}.csv" for d in range(report.heatmap.shape[0])]
+
+
 def export_heatmap_csv(report: EvalReport, path_prefix: str | os.PathLike) -> list[str]:
     """One CSV per domain: one row (layer 0), columns the retained experts."""
-    path_prefix = os.fspath(path_prefix)
-    written: list[str] = []
-    n_domains = report.heatmap.shape[0]
+    written = _heatmap_paths(report, path_prefix)
     header = "layer," + ",".join(f"expert_{i}" for i in report.kept)
-    for d in range(n_domains):
-        out = path_prefix + f"_domain{d}.csv"
+    for out, row in zip(written, report.heatmap):
         with open(out, "w", encoding="utf-8") as fh:
-            cells = ",".join(f"{v:.6f}" for v in report.heatmap[d])
+            cells = ",".join(f"{v:.6f}" for v in row)
             fh.write(f"{header}\n0,{cells}\n")
-        written.append(out)
     return written
 
 

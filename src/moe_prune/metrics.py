@@ -22,8 +22,6 @@ from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
 @dataclass
 class VariabilityScores:
     scores: np.ndarray  # [n_experts], bits, >= 0
-    z: np.ndarray       # [n_experts], per-expert total gate mass
-    n_total: int
 
 
 @dataclass
@@ -114,7 +112,7 @@ def variability_scores(cache: CalibrationCache) -> VariabilityScores:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > 0.0, q * np.log2(q * n_total), 0.0)
     scores = np.maximum(terms.sum(axis=0), 0.0)
-    return VariabilityScores(scores=scores, z=z, n_total=n_total)
+    return VariabilityScores(scores=scores)
 
 
 def activation_frequency(cache: CalibrationCache, top_k: int) -> np.ndarray:

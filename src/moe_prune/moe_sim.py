@@ -427,9 +427,7 @@ def _require(path: str, found: Mapping[str, object], names: Iterable[str], what:
 
 
 def load_layer(path: str) -> MoELayer:
-    manifest, arrays = tensor_store.read_archive(path)
-    if manifest.metadata.get("kind") != "moe_layer":
-        raise tensor_store.ArchiveError("archive does not hold a moe_layer")
+    manifest, arrays = tensor_store.read_archive(path, "moe_layer")
     _require(path, manifest.metadata, ("n_experts", "top_k"), "metadata key")
     n = int(manifest.metadata["n_experts"])
     _require(
@@ -462,9 +460,7 @@ def save_cache(cache: CalibrationCache, path: str, extra_metadata: dict[str, str
 
 
 def load_cache(path: str) -> CalibrationCache:
-    manifest, arrays = tensor_store.read_archive(path)
-    if manifest.metadata.get("kind") != "calibration_cache":
-        raise tensor_store.ArchiveError("archive does not hold a calibration_cache")
+    _, arrays = tensor_store.read_archive(path, "calibration_cache")
     _require(path, arrays, ("inputs", "outputs_full", "gate_probs"), "array")
     return CalibrationCache(
         inputs=arrays["inputs"],

@@ -358,45 +358,24 @@ def prune_with_method(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _encode_groups(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged encoding: offsets[i]..offsets[i+1] index members of group i."""
-    offsets = np.zeros(len(groups) + 1, dtype=np.int32)
-    flat: list[int] = []
-    for i, group in enumerate(groups):
-        flat.extend(group)
-        offsets[i + 1] = len(flat)
-    return offsets, np.asarray(flat, dtype=np.int32)
-
-
-def _decode_groups(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    return [
-        [int(x) for x in flat[offsets[i] : offsets[i + 1]]]
-        for i in range(len(offsets) - 1)
-    ]
-
-
 def save_plan(plan: PruningPlan, path: str | os.PathLike) -> None:
     """Write ``<path>.json`` plus a ``<path>.diag`` archive when diagnostics exist.
 
-    Array diagnostics become archive arrays; scalar ones are stored as JSON
-    text in the archive metadata.
+    Array diagnostics become archive arrays; every other one is stored as
+    JSON text in the archive metadata.
     """
     path = os.fspath(path)
     diag_name = None
     if plan.diagnostics:
         diag_name = os.path.basename(path) + ".diag"
         arrays: list[tuple[str, np.ndarray]] = []
-        scalars: dict[str, str] = {"kind": "plan_diagnostics"}
+        metadata: dict[str, str] = {"kind": "plan_diagnostics"}
         for key, value in plan.diagnostics.items():
-            if key == "groups":
-                offsets, flat = _encode_groups(value)
-                arrays.append(("groups_offsets", offsets))
-                arrays.append(("groups_members", flat))
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 arrays.append((key, value))
             else:
-                scalars[key] = json.dumps(value)
-        tensor_store.write_archive(path + ".diag", arrays, scalars)
+                metadata[key] = json.dumps(value)
+        tensor_store.write_archive(path + ".diag", arrays, metadata)
     doc = {
         "method": plan.method,
         "params": plan.params,
@@ -415,13 +394,7 @@ def load_plan(path: str | os.PathLike) -> PruningPlan:
     diagnostics: dict = {}
     if doc.get("diagnostics_archive"):
         diag_path = os.path.join(os.path.dirname(path), doc["diagnostics_archive"])
-        manifest, arrays = tensor_store.read_archive(diag_path)
-        if manifest.metadata.get("kind") != "plan_diagnostics":
-            raise tensor_store.ArchiveError(f"archive {diag_path} does not hold plan_diagnostics")
-        if "groups_offsets" in arrays:
-            diagnostics["groups"] = _decode_groups(
-                arrays.pop("groups_offsets"), arrays.pop("groups_members")
-            )
+        manifest, arrays = tensor_store.read_archive(diag_path, "plan_diagnostics")
         diagnostics.update(arrays)
         for key, value in manifest.metadata.items():
             if key != "kind" and key not in diagnostics:

@@ -23,8 +23,11 @@ FORMAT_VERSION = 1
 
 _DTYPES = {
     "f32": np.dtype("<f4"),
+    "f64": np.dtype("<f8"),
     "i32": np.dtype("<i4"),
+    "i64": np.dtype("<i8"),
 }
+_TAGS = {(dtype.kind, dtype.itemsize): tag for tag, dtype in _DTYPES.items()}
 
 
 class ArchiveError(ValueError):
@@ -126,18 +129,12 @@ class Manifest:
 
 def _coerce(name: str, array: np.ndarray) -> tuple[np.ndarray, str]:
     arr = np.asarray(array)
-    if arr.dtype.kind == "f":
-        with np.errstate(over="ignore"):  # overflow to inf is caught just below
-            out = np.ascontiguousarray(arr, dtype=_DTYPES["f32"])
-        if not np.all(np.isfinite(out)):
-            raise ArchiveError(f"array {name!r}: non-finite values are not storable")
-        return out, "f32"
-    if arr.dtype.kind in ("i", "u", "b"):
-        info = np.iinfo(np.int32)
-        if arr.size and (arr.min() < info.min or arr.max() > info.max):
-            raise ArchiveError(f"array {name!r}: values out of i32 range")
-        return np.ascontiguousarray(arr, dtype=_DTYPES["i32"]), "i32"
-    raise ArchiveError(f"array {name!r}: unsupported dtype {arr.dtype}")
+    tag = _TAGS.get((arr.dtype.kind, arr.dtype.itemsize))
+    if tag is None:
+        raise ArchiveError(f"array {name!r}: unsupported dtype {arr.dtype}")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ArchiveError(f"array {name!r}: non-finite values are not storable")
+    return arr.astype(_DTYPES[tag], copy=False), tag
 
 
 def write_archive(
@@ -147,8 +144,9 @@ def write_archive(
 ) -> Manifest:
     """Write ``<path>.json`` + ``<path>.bin`` atomically and return the manifest.
 
-    Arrays are stored in the given order; floats as little-endian f32,
-    integers as i32. Non-finite values are rejected up front.
+    Arrays are stored in the given order, little-endian, each at its own
+    dtype (f32, f64, i32 or i64); other dtypes and non-finite values are
+    rejected up front.
     """
     pairs = list(arrays.items()) if isinstance(arrays, Mapping) else list(arrays)
     names = [name for name, _ in pairs]
@@ -193,8 +191,13 @@ def write_archive(
     return manifest
 
 
-def read_archive(path: str | os.PathLike) -> tuple[Manifest, dict[str, np.ndarray]]:
-    """Read a manifest+blob pair; validates before reconstructing any array."""
+def read_archive(
+    path: str | os.PathLike, kind: str | None = None
+) -> tuple[Manifest, dict[str, np.ndarray]]:
+    """Read a manifest+blob pair; validates before reconstructing any array.
+
+    Given `kind`, the manifest's ``kind`` metadata must equal it.
+    """
     path = os.fspath(path)
     manifest_path, blob_path = path + ".json", path + ".bin"
     for required in (manifest_path, blob_path):
@@ -203,6 +206,8 @@ def read_archive(path: str | os.PathLike) -> tuple[Manifest, dict[str, np.ndarra
 
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = Manifest.from_json(fh.read())
+    if kind is not None and manifest.metadata.get("kind") != kind:
+        raise ArchiveError(f"archive {path} does not hold a {kind}")
     blob_size = os.path.getsize(blob_path)
     manifest.validate(blob_size)
 

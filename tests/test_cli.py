@@ -296,6 +296,27 @@ def test_prune_failure_removes_partial_outputs(pipeline, tmp_path, capsys):
     assert not os.path.exists(plan_path + ".json")
 
 
+def test_failed_plan_write_leaves_no_diagnostics(pipeline, tmp_path, capsys):
+    config, model, calib, heldout = pipeline
+    plan_path = tmp_path / "p" / "plan"
+    (tmp_path / "p" / "plan.json").mkdir(parents=True)  # the plan's own write fails
+    code = run(["prune", "--model", model, "--cache", calib,
+                "--method", "mop", "--r", "4", "--out", str(plan_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "plan.diag.json").exists()
+    assert not (tmp_path / "p" / "plan.diag.bin").exists()
+
+
+def test_archive_of_wrong_kind_named(pipeline, tmp_path, capsys):
+    config, model, calib, heldout = pipeline
+    code = run(["prune", "--model", calib, "--cache", calib,
+                "--method", "frequency", "--r", "4", "--out", str(tmp_path / "plan")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert calib in err and "moe_layer" in err
+
+
 def test_interrupt_removes_written_archive(tmp_path, monkeypatch):
     out = str(tmp_path / "model")
 

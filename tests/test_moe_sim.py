@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import warnings
 
@@ -20,7 +21,7 @@ from moe_prune import (
     save_cache,
     save_layer,
 )
-from moe_prune import moe_sim
+from moe_prune import cli, moe_sim
 from moe_prune.moe_sim import _route, _sorted_kept, forward_subset_batch, gate_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
@@ -385,3 +386,25 @@ def test_cache_archive_round_trip(tmp_path):
     assert np.array_equal(loaded.outputs_full, calib.outputs_full)
     assert np.array_equal(loaded.gate_probs, calib.gate_probs)
     assert np.array_equal(loaded.source_domain, calib.source_domain)
+
+
+# sha256 of the default-config layer archive as written with numpy 2.4; any
+# change to the layer format (a version bump, a dtype) must change these
+GOLDEN_LAYER = {
+    ".json": "407da9f746ede5d67196f399854b0872ff6fe022fc0c75ca71f509be22f473bd",
+    ".bin": "d1c1748830818950e2f6abf0c55ac0e87c0bc3f2e6191af2454017b7615c8cd6",
+}
+
+
+def test_default_layer_archive_bytes_pinned(tmp_path):
+    model = cli.DEFAULT_CONFIG["model"]
+    layer = generate_layer(
+        cli._planted_spec(model),
+        hidden_dim=model["hidden_dim"], ff_dim=model["ff_dim"], top_k=model["top_k"],
+    )
+    save_layer(layer, str(tmp_path / "layer"))
+    got = {
+        suffix: hashlib.sha256((tmp_path / ("layer" + suffix)).read_bytes()).hexdigest()
+        for suffix in GOLDEN_LAYER
+    }
+    assert got == GOLDEN_LAYER

@@ -9,6 +9,7 @@ from moe_prune import (
     ArchiveError,
     PruningPlan,
     activation_frequency,
+    evaluate_plan,
     load_plan,
     prune_enum,
     prune_frequency,
@@ -16,11 +17,15 @@ from moe_prune import (
     prune_mop,
     prune_random,
     prune_with_method,
+    read_archive,
     reconstruction_loss,
     save_layer,
     save_plan,
     variability_scores,
+    write_archive,
 )
+from moe_prune.cli import METHOD_CHOICES
+from moe_prune.evaluation import report_to_csv
 from moe_prune.prune import default_general_count
 
 from conftest import (
@@ -321,6 +326,45 @@ def test_plan_round_trip(tmp_path):
     assert loaded.diagnostics["stage1_mode"] == "exhaustive"
     assert loaded.diagnostics["stage1_loss"] == plan.diagnostics["stage1_loss"]
     assert isinstance(loaded.diagnostics["stage1_loss"], float)
+
+
+@pytest.mark.parametrize("method", METHOD_CHOICES)
+def test_plan_round_trip_is_lossless(tmp_path, method):
+    _, layer, calib, _ = make_planted(seed=46)
+    plan = prune_with_method(calib, layer, method, r=4, m=1)
+    save_plan(plan, tmp_path / "plan")
+    loaded = load_plan(tmp_path / "plan")
+    assert (loaded.kept, loaded.provenance, loaded.params) == (
+        plan.kept, plan.provenance, plan.params
+    )
+    assert loaded.diagnostics.keys() == plan.diagnostics.keys()
+    for key, want in plan.diagnostics.items():
+        got = loaded.diagnostics[key]
+        assert type(got) is type(want), key
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+        else:
+            assert repr(got) == repr(want), key
+
+
+def test_plan_with_ragged_groups_still_loads(tmp_path):
+    _, layer, calib, heldout = make_planted(seed=46)
+    plan = prune_mop(calib, layer, r=4, m=1, kmeans_seed=7)
+    save_plan(plan, tmp_path / "plan")
+    # archives written before groups were JSON held them as offsets + members
+    manifest, arrays = read_archive(tmp_path / "plan.diag")
+    metadata = dict(manifest.metadata)
+    groups = json.loads(metadata.pop("groups"))
+    arrays["groups_offsets"] = np.cumsum([0] + [len(g) for g in groups]).astype(np.int32)
+    arrays["groups_members"] = np.array([e for g in groups for e in g], dtype=np.int32)
+    write_archive(tmp_path / "plan.diag", arrays, metadata)
+    loaded = load_plan(tmp_path / "plan")
+    assert "groups" not in loaded.diagnostics
+    assert loaded.diagnostics["groups_members"].tolist() == sum(groups, [])
+    assert report_to_csv(evaluate_plan(layer, loaded, heldout)) == report_to_csv(
+        evaluate_plan(layer, plan, heldout)
+    )
 
 
 def test_plan_loads_non_json_scalar_as_string(tmp_path):

@@ -1,7 +1,12 @@
 import errno
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from moe_prune import tensor_store
 from moe_prune.tensor_store import (
@@ -50,6 +55,34 @@ def test_round_trip_bit_exact(tmp_path, rng):
     assert np.signbit(loaded["neg"][0])
 
 
+@st.composite
+def storable_arrays(draw):
+    """An array of a storable kind and width, in either byte order, of any shape."""
+    code = draw(st.sampled_from(["f4", "f8", "i4", "i8"]))
+    dtype = np.dtype(draw(st.sampled_from(["<", ">"])) + code)
+    elements = None
+    if dtype.kind == "f":
+        elements = st.floats(allow_nan=False, allow_infinity=False, width=8 * dtype.itemsize)
+    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(storable_arrays(), max_size=4))
+@example([np.array(2.5, dtype=np.float32), np.zeros((3, 0), dtype=np.int64)])
+@example([np.array([-0.0, 1e300], dtype=">f8"), np.array(-(2**62), dtype=">i8")])
+def test_round_trip_every_dtype_and_shape(originals):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a"
+        manifest = write_archive(path, {f"a{i}": a for i, a in enumerate(originals)})
+        _, loaded = read_archive(path)
+    for entry, original in zip(manifest.arrays, originals):
+        got = loaded[entry.name]
+        assert entry.shape == got.shape == original.shape
+        assert got.dtype == original.dtype.newbyteorder("<")
+        assert got.tobytes() == original.astype(got.dtype).tobytes()
+
+
 def test_round_trip_random_batches(tmp_path, rng):
     for trial in range(10):
         arrays = {
@@ -82,9 +115,9 @@ def test_non_finite_rejected(tmp_path):
         write_archive(tmp_path / "nan", {"x": np.array([1.0, np.nan])})
     with pytest.raises(ArchiveError, match="non-finite"):
         write_archive(tmp_path / "inf", {"x": np.array([np.inf])})
-    # f64 values that overflow f32 become inf and must also be caught
-    with pytest.raises(ArchiveError, match="non-finite"):
-        write_archive(tmp_path / "ovf", {"x": np.array([1e40])})
+    # f64 values beyond the f32 range are stored as they are
+    write_archive(tmp_path / "big", {"x": np.array([1e40])})
+    assert read_archive(tmp_path / "big")[1]["x"].tolist() == [1e40]
 
 
 def test_unsupported_dtype(tmp_path):
@@ -110,7 +143,7 @@ def test_truncated_blob_names_array(tmp_path):
 
 
 def test_length_mismatch_names_array(tmp_path):
-    write_archive(tmp_path / "m", {"good": np.zeros(4)})
+    write_archive(tmp_path / "m", {"good": np.zeros(4, dtype=np.float32)})
     text = (tmp_path / "m.json").read_text().replace('"length": 16', '"length": 12')
     (tmp_path / "m.json").write_text(text)
     with pytest.raises(ArchiveError, match="good"):
