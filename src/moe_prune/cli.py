@@ -268,12 +268,16 @@ def cmd_report(args: argparse.Namespace, outputs: _Outputs) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
             if len(lines) >= 2:
-                rows.append((os.path.relpath(root, args.dir), lines[0], lines[1]))
+                rows.append((os.path.relpath(root, args.dir), lines[0], lines[1], path))
     if not rows:
         print(f"no report.csv files under {args.dir}", file=sys.stderr)
         return 1
+    for _name, head, _body, path in rows:
+        if head != rows[0][1]:
+            print(f"error: {path} and {rows[0][3]} have different headers", file=sys.stderr)
+            return 1
     header = "run," + rows[0][1]
-    lines = [header] + [f"{name},{body}" for name, _head, body in sorted(rows)]
+    lines = [header] + [f"{name},{body}" for name, _head, body, _path in sorted(rows)]
     table = "\n".join(lines) + "\n"
     if args.out:
         _ensure_parent_dir(args.out)

@@ -63,17 +63,34 @@ class ExpertPartition:
 
 # ---------------------------------------------------------------------------
 # k-means
+#
+# Each restart keeps one scratch array of the points' shape for its kernels.
+# `np.take(..., mode="clip")` writes into it directly, where mode "raise"
+# goes through a buffer; every index taken is in range.
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dists_to(points: np.ndarray, centroid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`((points - centroid) ** 2).sum(axis=1)` bit for bit, computed in `scratch`.
+
+    `centroid` is one row, or one row per point (it may be `scratch`). Each
+    row's d squares are added as `_sq_dists` adds them.
+    """
+    np.subtract(points, centroid, out=scratch)
+    scratch *= scratch
+    return scratch.sum(axis=1)
+
+
+def _kmeanspp_init(
+    points: np.ndarray, k: int, rng: np.random.Generator, scratch: np.ndarray
+) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists_to(points, centroids[0], scratch)
     for j in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -83,13 +100,31 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             pick = int(rng.integers(n))  # all remaining points coincide
         centroids[j] = points[pick]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dists_to(points, centroids[j], scratch), out=d2)
     return centroids
 
 
-def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _gamma(d: int) -> float:
+    """g_(d+4) = (d+4) u / (1 - (d+4) u), u the unit roundoff of float64."""
+    u = 2.0**-53
+    return (d + 4) * u / (1.0 - (d + 4) * u)
+
+
+def _error_bound(norms: np.ndarray, c2: np.ndarray, d: int) -> np.ndarray:
+    """Per row, 4 g_(d+4) (|x| + max |c|)^2 plus an absolute term for
+    underflow: twice what the two distance forms may be off by together (see
+    `_nearest`). `norms` holds |x| and `c2` every |c|^2."""
+    reach = norms + np.sqrt(c2.max())
+    return 4.0 * _gamma(d) * reach * reach + (d + 4) * 2.0**-1070
+
+
+def _nearest(
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each point's nearest centroid, ties to the lowest index: exactly
-    `_sq_dists(points, centroids).argmin(axis=1)`, certified row by row.
+    `_sq_dists(points, centroids).argmin(axis=1)`, certified row by row; with,
+    per row, an upper bound on the true distance to that centroid and a lower
+    bound on the true distance to every other one.
 
     The distances come from products, |x|^2 - 2 x.c + |c|^2 (`sq_norms`
     holds |x|^2). In any summation order, and with or without fused
@@ -103,7 +138,12 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) ->
     of the gap and of the bound, plus an absolute term for underflow. Rows
     inside it, and rows whose gap is not finite (overflow, or k = 1), are
     recomputed with `_sq_dists`, whose bits for a row do not depend on the
-    other rows.
+    other rows; their distance bounds are the trivial inf and 0.
+
+    A certified row's true squared distances lie within a quarter of the
+    bound of its product-form ones, so the square roots of the smallest plus
+    that quarter and of the second smallest minus it bound its distances,
+    each widened by a factor 1 +- 4 g_(d+4) that outweighs their rounding.
     """
     n, d = points.shape
     c2 = (centroids * centroids).sum(axis=1)
@@ -120,30 +160,85 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) ->
     rows = np.arange(n)
     best = dist[labels, rows]
     dist[labels, rows] = np.inf
-    gap = dist.min(axis=0) - best
-    u = 2.0**-53  # unit roundoff of float64
-    gamma = (d + 4) * u / (1.0 - (d + 4) * u)
-    reach = np.sqrt(sq_norms) + np.sqrt(c2.max())
-    bound = 4.0 * gamma * reach * reach + (d + 4) * 2.0**-1070
+    second = dist.min(axis=0)
+    gap = second - best
+    bound = _error_bound(np.sqrt(sq_norms), c2, d)
     unsure = np.flatnonzero(~(np.isfinite(gap) & (gap > bound)))
     if unsure.size:
         labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
-    return labels
+    bound *= 0.25
+    hi, lo = 1.0 + 4.0 * _gamma(d), 1.0 - 4.0 * _gamma(d)
+    upper = np.sqrt(np.maximum(best + bound, 0.0) * hi) * hi
+    lower = np.sqrt(np.maximum(second - bound, 0.0) * lo) * lo
+    upper[unsure] = np.inf
+    lower[unsure] = 0.0
+    return labels, upper, lower
+
+
+def _bounded_nearest(
+    points: np.ndarray,
+    sq_norms: np.ndarray,
+    norms: np.ndarray,
+    centroids: np.ndarray,
+    previous: np.ndarray,
+    nearest: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scratch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labels and bounds of `_nearest(points, sq_norms, centroids)`, from
+    `nearest`, the labels and bounds `_nearest` gave at the `previous` centroids.
+
+    Hamerly's bounds ("Making k-means even faster", 2010): when each centroid
+    moves by at most delta_j, a point's distance to its centroid grows by at
+    most delta_(label) and its distance to any other shrinks by at most
+    max delta. Each bound and each delta is widened by 1 +- 4 g_(d+4), which
+    outweighs its few roundings, and delta by an absolute term for underflow.
+    A point whose lower bound l and upper bound u then satisfy
+    l^2 - u^2 > `_error_bound` (computed as (l - u)(l + u), which cannot
+    round up past twice the needed margin) has its label as the unique argmin
+    of `_sq_dists` too, because each of those distances is within a quarter of
+    the bound of the true one; it keeps label and bounds. Every other point
+    goes through `_nearest`, its rows gathered into `scratch`.
+    """
+    labels, upper, lower = nearest
+    d = points.shape[1]
+    hi, lo = 1.0 + 4.0 * _gamma(d), 1.0 - 4.0 * _gamma(d)
+    step = centroids - previous
+    step *= step
+    moves = np.sqrt((step.sum(axis=1) + d * 2.0**-1074) * hi) * hi
+    upper = (upper + moves[labels]) * hi
+    lower = np.maximum(lower - moves.max(), 0.0) * lo
+    bound = _error_bound(norms, (centroids * centroids).sum(axis=1), d)
+    redo = np.flatnonzero(~((lower - upper) * (lower + upper) > bound))
+    labels = labels.copy()
+    if redo.size:
+        rows = np.take(points, redo, axis=0, out=scratch[: redo.size], mode="clip")
+        labels[redo], upper[redo], lower[redo] = _nearest(rows, sq_norms[redo], centroids)
+    return labels, upper, lower
 
 
 def _assign_with_repair(
-    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
-) -> np.ndarray:
+    points: np.ndarray,
+    sq_norms: np.ndarray,
+    centroids: np.ndarray,
+    nearest: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign points (ties to the lowest centroid index); reseed empty clusters
-    at the point farthest from its assigned centroid until none are empty."""
+    at the point farthest from its assigned centroid until none are empty.
+
+    Returns `_nearest`'s labels and bounds at the final centroids; `nearest`,
+    if given, stands in for the first `_nearest` call.
+    """
     k = centroids.shape[0]
-    for _ in range(k + 1):
-        labels = _nearest(points, sq_norms, centroids)
+    for attempt in range(k + 1):
+        if attempt or nearest is None:
+            nearest = _nearest(points, sq_norms, centroids)
+        labels = nearest[0]
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
-            return labels
-        own = _sq_dists(points, centroids)[np.arange(points.shape[0]), labels]
+            return nearest
+        own_centroids = centroids[labels]
+        own = _sq_dists_to(points, own_centroids, own_centroids)
         for j in empties:
             far = int(own.argmax())
             centroids[j] = points[far]
@@ -151,35 +246,62 @@ def _assign_with_repair(
     raise ValueError("could not repair empty clusters; k exceeds distinct points")
 
 
-def _group_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _group_means(
+    points: np.ndarray, labels: np.ndarray, k: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Each cluster's mean, bit for bit `points[labels == j].mean(axis=0)`.
+
+    A stable sort by label puts each cluster's rows, in index order, in one
+    contiguous slice of `scratch`; `np.add.reduce` adds them in the order
+    `mean` does, and the sum is divided by the count, as `mean` divides it.
+    The labels are sorted at the narrowest integer width, where numpy's stable
+    sort is a radix sort.
+    """
+    order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
+    np.take(points, order, axis=0, out=scratch, mode="clip")
+    counts = np.bincount(labels, minlength=k)
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    for j in range(k):
-        centroids[j] = points[labels == j].mean(axis=0)
+    start = 0
+    for row, count in zip(centroids, counts):
+        np.add.reduce(scratch[start : start + count], axis=0, out=row)
+        start += count
+    centroids /= counts[:, None]
     return centroids
 
 
-def _wcss(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    return float(((points - centroids[labels]) ** 2).sum())
+def _wcss(
+    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, scratch: np.ndarray
+) -> float:
+    """`((points - centroids[labels]) ** 2).sum()` bit for bit, computed in `scratch`."""
+    np.take(centroids, labels, axis=0, out=scratch, mode="clip")
+    np.subtract(points, scratch, out=scratch)
+    scratch *= scratch
+    return float(scratch.sum())
 
 
 def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) -> DomainLabeling:
     sq_norms = (pts * pts).sum(axis=1)
-    centroids = _kmeanspp_init(pts, k, rng)
-    labels = _assign_with_repair(pts, sq_norms, centroids)
-    history = [_wcss(pts, labels, centroids)]
+    norms = np.sqrt(sq_norms)
+    scratch = np.empty_like(pts)
+    centroids = _kmeanspp_init(pts, k, rng, scratch)
+    nearest = _assign_with_repair(pts, sq_norms, centroids)
+    labels = nearest[0]
+    history = [_wcss(pts, labels, centroids, scratch)]
     iterations_run = 0
     for _ in range(max_iters):
         iterations_run += 1
-        centroids = _group_means(pts, labels, k)
-        new_labels = _assign_with_repair(pts, sq_norms, centroids)
-        history.append(_wcss(pts, new_labels, centroids))
+        previous, centroids = centroids, _group_means(pts, labels, k, scratch)
+        nearest = _bounded_nearest(pts, sq_norms, norms, centroids, previous, nearest, scratch)
+        nearest = _assign_with_repair(pts, sq_norms, centroids, nearest)
+        new_labels = nearest[0]
+        history.append(_wcss(pts, new_labels, centroids, scratch))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
     return DomainLabeling(
         labels=labels.astype(np.int32),
         centroids=centroids,
-        wcss=_wcss(pts, labels, centroids),
+        wcss=_wcss(pts, labels, centroids, scratch),
         iterations_run=iterations_run,
         wcss_history=history,
     )

@@ -12,7 +12,7 @@ log2(n_tokens).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,20 +64,29 @@ class _LossScorer:
     logits are still taken per kept set, but an expert's output does not
     depend on the set, so each one is computed on first use and reused until
     release(e). A search releases an expert once no later subset keeps it,
-    which bounds how many outputs stay alive.
+    which bounds how many outputs stay alive. `on_output(e, output)`, if
+    given, sees each output as it is computed.
     """
 
-    def __init__(self, cache: CalibrationCache, layer: MoELayer) -> None:
+    def __init__(
+        self,
+        cache: CalibrationCache,
+        layer: MoELayer,
+        on_output: Callable[[int, np.ndarray], None] | None = None,
+    ) -> None:
         _check_cache_layer(cache, layer)
         self._cache = cache
         self._layer = layer
         self._target = cache.outputs_full.astype(np.float64)
         self._outputs: dict[int, np.ndarray] = {}
+        self._on_output = on_output
 
     def _output(self, e: int) -> np.ndarray:
         out = self._outputs.get(e)
         if out is None:
             out = self._outputs[e] = self._layer.experts[e].apply(self._cache.inputs)
+            if self._on_output is not None:
+                self._on_output(e, out)
         return out
 
     def loss(self, kept: Iterable[int]) -> float:
@@ -124,6 +133,38 @@ def activation_frequency(cache: CalibrationCache, top_k: int) -> np.ndarray:
     return np.bincount(order.ravel(), minlength=n).astype(np.int64)
 
 
+def _domains(labels: np.ndarray, n_tokens: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each domain's token mask and token count, for per-token domain ids."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integer domain ids, got dtype {labels.dtype}")
+    if labels.shape != (n_tokens,):
+        raise ValueError("labels must have one entry per cached token")
+    if np.any(labels < 0):
+        raise ValueError("labels must be nonnegative domain ids")
+    sizes = np.bincount(labels)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(f"domain {int(empty[0])} has no tokens")
+    return [labels == k for k in range(sizes.size)], sizes
+
+
+def _perf_row(
+    out: np.ndarray, outputs_full: np.ndarray, masks: list[np.ndarray], sizes: np.ndarray
+) -> np.ndarray:
+    """One expert's mean squared error against the full layer per domain, from
+    its output `out` on the cached inputs.
+
+    Each domain's errors are added in token order and divided by their
+    count, as `.mean()` of the masked errors does.
+    """
+    diff = out.astype(np.float64)
+    diff -= outputs_full
+    diff *= diff
+    per_token = diff.sum(axis=1)
+    return np.array([np.add.reduce(per_token[mask]) / size for mask, size in zip(masks, sizes)])
+
+
 def performance_matrix(
     cache: CalibrationCache,
     layer: MoELayer,
@@ -132,9 +173,6 @@ def performance_matrix(
 ) -> PerformanceMatrix:
     """Mean single-expert squared reconstruction error per discovered domain."""
     _check_cache_layer(cache, layer)
-    labels = np.asarray(labels)
-    if labels.shape != (cache.n_tokens,):
-        raise ValueError("labels must have one entry per cached token")
     ids = np.asarray(list(candidates), dtype=np.int64)
     if ids.size == 0:
         raise ValueError("candidates must be nonempty")
@@ -142,21 +180,9 @@ def performance_matrix(
         raise ValueError("candidate list contains duplicates")
     if np.any(ids < 0) or np.any(ids >= layer.n_experts):
         raise ValueError("candidate index out of range")
-
-    n_domains = int(labels.max()) + 1 if labels.size else 0
-    if np.any(labels < 0):
-        raise ValueError("labels must be nonnegative domain ids")
-    sizes = np.bincount(labels, minlength=n_domains)
-    empty = np.flatnonzero(sizes == 0)
-    if empty.size:
-        raise ValueError(f"domain {int(empty[0])} has no tokens")
-
-    target = cache.outputs_full.astype(np.float64)
-    errors = np.empty((ids.size, n_domains), dtype=np.float64)
-    for row, expert in enumerate(ids):
-        out = layer.experts[int(expert)].apply(cache.inputs).astype(np.float64)
-        per_token = ((out - target) ** 2).sum(axis=1)
-        for k in range(n_domains):
-            errors[row, k] = per_token[labels == k].mean()
-    return PerformanceMatrix(errors=errors, domain_sizes=sizes, candidate_ids=ids)
-
+    masks, sizes = _domains(labels, cache.n_tokens)
+    errors = [
+        _perf_row(layer.experts[int(e)].apply(cache.inputs), cache.outputs_full, masks, sizes)
+        for e in ids
+    ]
+    return PerformanceMatrix(errors=np.array(errors), domain_sizes=sizes, candidate_ids=ids)

@@ -18,15 +18,19 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import DEFAULT_SUBSET_BUDGET, METHODS, tensor_store
 from .cluster import kmeans, similarity_matrix, ward_partition
 from .metrics import (
+    PerformanceMatrix,
+    _check_cache_layer,
+    _domains,
     _LossScorer,
+    _perf_row,
     activation_frequency,
-    performance_matrix,
     variability_scores,
 )
 from .moe_sim import CalibrationCache, MoELayer
@@ -138,16 +142,14 @@ def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> Pruning
 
 
 def _search_exhaustive(
-    cache: CalibrationCache, layer: MoELayer, size: int, budget: int
+    scorer: _LossScorer, n: int, size: int, budget: int
 ) -> tuple[list[int], float, dict]:
-    n = layer.n_experts
     n_subsets = math.comb(n, size)
     if n_subsets > budget:
         raise ValueError(
             f"C({n}, {size}) = {n_subsets} subsets exceeds the budget of {budget}; "
             "use the greedy mode"
         )
-    scorer = _LossScorer(cache, layer)
     best_subset: tuple[int, ...] | None = None
     best_loss = math.inf
     subsets = np.empty((n_subsets, size), dtype=np.int32)
@@ -171,11 +173,8 @@ def _search_exhaustive(
     return list(best_subset), best_loss, diag
 
 
-def _search_greedy(
-    cache: CalibrationCache, layer: MoELayer, size: int
-) -> tuple[list[int], float, dict]:
-    scorer = _LossScorer(cache, layer)
-    current = list(range(layer.n_experts))
+def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], float, dict]:
+    current = list(range(n))
     removed: list[int] = []
     step_losses: list[float] = []
     while len(current) > size:
@@ -204,6 +203,17 @@ def _search_mode(n: int, size: int, budget: int) -> str:
     return "exhaustive" if math.comb(n, size) <= budget else "greedy"
 
 
+def _search(
+    scorer: _LossScorer, n: int, size: int, mode: str, budget: int
+) -> tuple[list[int], float, dict]:
+    """The best `size`-subset of the n experts by the scorer's loss: kept set, loss, diagnostics."""
+    if mode == "exhaustive":
+        return _search_exhaustive(scorer, n, size, budget)
+    if mode == "greedy":
+        return _search_greedy(scorer, n, size)
+    raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
+
+
 def prune_enum(
     cache: CalibrationCache,
     layer: MoELayer,
@@ -214,12 +224,7 @@ def prune_enum(
     """Minimize reconstruction loss over r-subsets, exactly or greedily."""
     n = layer.n_experts
     _check_r(r, n)
-    if mode == "exhaustive":
-        kept, loss, diag = _search_exhaustive(cache, layer, r, budget)
-    elif mode == "greedy":
-        kept, loss, diag = _search_greedy(cache, layer, r)
-    else:
-        raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
+    kept, _, diag = _search(_LossScorer(cache, layer), n, r, mode, budget)
     return PruningPlan(
         method=f"enum_{mode}",
         kept=kept,
@@ -229,27 +234,36 @@ def prune_enum(
     )
 
 
-def _select_general(
-    cache: CalibrationCache, layer: MoELayer, r: int, m: int | None, budget: int
-) -> tuple[int, list[int], list[int], dict]:
-    """Stage 1 shared by gvp and mop: the enum search for the best m-subset.
-
-    Checks r and m (default: default_general_count(r)). Returns m, the
-    general core, the remaining candidates ascending and the stage diagnostics.
-    """
-    n = layer.n_experts
+def _general_count(r: int, m: int | None, n: int) -> int:
+    """Checks r and m for gvp and mop; returns m (default: default_general_count(r))."""
     _check_r(r, n)
     if m is None:
         m = default_general_count(r)
     if not 0 <= m < r:
         raise ValueError(f"m {m} outside [0, {r})")
+    return m
+
+
+def _select_general(
+    cache: CalibrationCache,
+    layer: MoELayer,
+    m: int,
+    budget: int,
+    on_output: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[list[int], list[int], dict]:
+    """Stage 1 shared by gvp and mop: the enum search for the best m-subset.
+
+    Returns the general core, the remaining candidates ascending and the
+    stage diagnostics. `on_output` sees each expert output the search
+    computes (see `_LossScorer`); with m = 0 there is no search.
+    """
+    n = layer.n_experts
     if m == 0:
-        return m, [], list(range(n)), {"stage1_mode": "none"}
+        return [], list(range(n)), {"stage1_mode": "none"}
     mode = _search_mode(n, m, budget)
-    core = prune_enum(cache, layer, m, mode=mode, budget=budget)
-    candidates = sorted(set(range(n)) - set(core.kept))
-    stage_diag = {"stage1_mode": mode, "stage1_loss": core.diagnostics["best_loss"]}
-    return m, core.kept, candidates, stage_diag
+    core, loss, _ = _search(_LossScorer(cache, layer, on_output), n, m, mode, budget)
+    candidates = sorted(set(range(n)) - set(core))
+    return sorted(core), candidates, {"stage1_mode": mode, "stage1_loss": loss}
 
 
 def prune_gvp(
@@ -260,7 +274,8 @@ def prune_gvp(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> PruningPlan:
     """General core by reconstruction loss, then a global variability ranking."""
-    m, general, candidates, stage_diag = _select_general(cache, layer, r, m, budget)
+    m = _general_count(r, m, layer.n_experts)
+    general, candidates, stage_diag = _select_general(cache, layer, m, budget)
     scores = variability_scores(cache)
     by_score = sorted(candidates, key=lambda i: (-scores.scores[i], i))
     diversity = by_score[: r - m]
@@ -286,13 +301,31 @@ def prune_mop(
     kmeans_seed: int = 0,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> PruningPlan:
-    """Cluster-then-select: one top-variability representative per expert group."""
-    m, general, candidates, stage_diag = _select_general(cache, layer, r, m, budget)
+    """Cluster-then-select: one top-variability representative per expert group.
+
+    The domains are found first, so that stage 1 hands each expert output it
+    computes to the performance matrix: every expert is applied to the
+    calibration inputs once.
+    """
+    m = _general_count(r, m, layer.n_experts)
     n_groups = r - m
+    _check_cache_layer(cache, layer)
 
     # restarts guard against two k-means++ seeds landing in one planted domain
     labeling = kmeans(cache.inputs, n_groups, seed=kmeans_seed, max_iters=100, n_init=8)
-    perf = performance_matrix(cache, layer, candidates, labeling.labels)
+    masks, sizes = _domains(labeling.labels, cache.n_tokens)
+    rows: dict[int, np.ndarray] = {}
+
+    def record(e: int, out: np.ndarray) -> None:
+        rows[e] = _perf_row(out, cache.outputs_full, masks, sizes)
+
+    general, candidates, stage_diag = _select_general(cache, layer, m, budget, record)
+    for e in candidates:
+        if e not in rows:  # m = 0: no search applied it
+            record(e, layer.experts[e].apply(cache.inputs))
+    perf = PerformanceMatrix(
+        errors=np.array([rows[e] for e in candidates]), domain_sizes=sizes, candidate_ids=candidates
+    )
     sim = similarity_matrix(perf)
     partition = ward_partition(perf, sim, n_groups)
 

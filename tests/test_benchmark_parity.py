@@ -1,0 +1,72 @@
+"""The benchmark's own inputs, read through perfbench/workloads.py (never edited here).
+
+One `search` pass and one `cluster` pass at seed 0 must give every operation
+digest recorded in perfbench/digests.json, so a change that moves a plan or a
+loss fails here, not only in a benchmark run. The digests cover matrix
+products, so they hold for the numpy and OpenBLAS builds they were recorded
+with (numpy 2.4, OpenBLAS 0.3).
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from moe_prune import cluster
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, BENCH_DIR)
+import workloads  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def cluster_inputs():
+    return workloads.build_inputs("cluster", 0)
+
+
+def recorded(workload, seed):
+    with open(os.path.join(BENCH_DIR, "digests.json"), encoding="utf-8") as fh:
+        return json.load(fh)[workload][str(seed)]
+
+
+def test_search_pass_matches_recorded_digests():
+    result = workloads.inprocess_pass("search", 0, workloads.build_inputs("search", 0))
+    assert dict(result["ops"]) == recorded("search", 0)
+
+
+def test_cluster_pass_matches_recorded_digests(cluster_inputs):
+    result = workloads.inprocess_pass("cluster", 0, cluster_inputs)
+    assert dict(result["ops"]) == recorded("cluster", 0)
+
+
+def test_bounds_skip_most_points_once_centroids_settle(cluster_inputs, monkeypatch):
+    """k-means as the `cluster` workload's mop runs it (k = 11 over 2,048
+    tokens): from the third Lloyd iteration of each restart on, most points
+    keep their label on the strength of their bounds alone."""
+    _, calibration, _ = cluster_inputs
+    iteration, recomputed = [0], []
+    lloyd, bounded, nearest = cluster._lloyd, cluster._bounded_nearest, cluster._nearest
+
+    def counting_lloyd(*args):
+        iteration[0] = 0
+        recomputed.append([0, 0])  # the restart's first, full assignment
+        return lloyd(*args)
+
+    def counting_bounded(*args):
+        iteration[0] += 1
+        recomputed.append([iteration[0], 0])
+        return bounded(*args)
+
+    def counting_nearest(points, *args):
+        recomputed[-1][1] += points.shape[0]
+        return nearest(points, *args)
+
+    monkeypatch.setattr(cluster, "_lloyd", counting_lloyd)
+    monkeypatch.setattr(cluster, "_bounded_nearest", counting_bounded)
+    monkeypatch.setattr(cluster, "_nearest", counting_nearest)
+    cluster.kmeans(calibration.inputs, 11, seed=0, max_iters=100, n_init=8)
+    late = np.array([rows for it, rows in recomputed if it > 2])
+    assert late.size >= 8
+    assert late.sum() < 0.5 * calibration.n_tokens * late.size

@@ -268,6 +268,20 @@ def test_report_empty_dir_fails(tmp_path, capsys):
     assert run(["report", "--dir", str(tmp_path / "nothing")]) == 1
 
 
+def test_report_mismatched_headers_fail_without_output(tmp_path, capsys):
+    tables = {"a": "method,d0,d1\nmop,1,2\n", "b": "method,d0,d1,d2\ngvp,1,2,3\n"}
+    for name, text in tables.items():
+        os.makedirs(tmp_path / "evals" / name)
+        (tmp_path / "evals" / name / "report.csv").write_text(text)
+    out = tmp_path / "summary.csv"
+    assert run(["report", "--dir", str(tmp_path / "evals"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert os.path.join("evals", "a", "report.csv") in captured.err
+    assert os.path.join("evals", "b", "report.csv") in captured.err
+    assert not out.exists()
+
+
 def test_mop_threads_seeds_blas_env(monkeypatch):
     from moe_prune.cli import _THREAD_ENV_VARS, _apply_thread_cap
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -337,25 +338,49 @@ def oracle_assign_with_repair(points, centroids):
     raise ValueError("could not repair empty clusters; k exceeds distinct points")
 
 
-def oracle_kmeans(points, k, seed, max_iters, n_init):
-    """Seeded Lloyd restarts with the broadcast assignment: (labels, centroids,
-    wcss, iterations_run, wcss_history) of the lowest-WCSS restart."""
+def oracle_kmeanspp(points, k, rng):
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("k-means++: squared distances between the points overflow float64")
+        pick = rng.choice(n, p=d2 / total) if total > 0 else int(rng.integers(n))
+        centroids[j] = points[pick]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def oracle_group_means(points, labels, k):
+    return np.array([points[labels == j].mean(axis=0) for j in range(k)])
+
+
+def oracle_wcss(points, labels, centroids):
+    return float(((points - centroids[labels]) ** 2).sum())
+
+
+def oracle_kmeans(points, k, seed, max_iters, n_init, init=oracle_kmeanspp):
+    """Seeded Lloyd restarts with the broadcast assignment and the direct
+    formulas throughout, every point reassigned on every iteration: (labels,
+    centroids, wcss, iterations_run, wcss_history) of the lowest-WCSS restart."""
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        centroids = cluster._kmeanspp_init(points, k, rng)
+        centroids = init(points, k, rng)
         labels = oracle_assign_with_repair(points, centroids)
-        history = [cluster._wcss(points, labels, centroids)]
+        history = [oracle_wcss(points, labels, centroids)]
         iterations = 0
         for _ in range(max_iters):
             iterations += 1
-            centroids = cluster._group_means(points, labels, k)
+            centroids = oracle_group_means(points, labels, k)
             new_labels = oracle_assign_with_repair(points, centroids)
-            history.append(cluster._wcss(points, new_labels, centroids))
+            history.append(oracle_wcss(points, new_labels, centroids))
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-        wcss = cluster._wcss(points, labels, centroids)
+        wcss = oracle_wcss(points, labels, centroids)
         if best is None or wcss < best[2]:
             best = (labels, centroids, wcss, iterations, history)
     return best
@@ -403,7 +428,7 @@ def check_assignment(points, centroids):
     if isinstance(want, str):
         assert got == want
     else:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got[0].dtype == want.dtype and np.array_equal(got[0], want)
     assert got_centroids.tobytes() == want_centroids.tobytes()
 
 
@@ -435,15 +460,17 @@ def test_assignment_fixed_cases(points, centroids):
     check_assignment(np.array(points), np.array(centroids))
 
 
-@settings(deadline=None, max_examples=150)
-@given(tie_prone_points(max_n=30, max_d=3, max_k=5), st.data())
-def test_kmeans_matches_broadcast_lloyd(points_centroids, data):
-    points = points_centroids[0]
-    k = data.draw(st.integers(1, points.shape[0]))
-    args = (k, data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 12)),
-            data.draw(st.integers(1, 3)))
-    got = outcome(kmeans, points, *args)
-    want = outcome(oracle_kmeans, points, *args)
+def check_kmeans(points, k, seed, max_iters, n_init, start=None):
+    """kmeans against oracle_kmeans, bit for bit; with `start`, both begin
+    every restart at those centroids instead of k-means++."""
+    args = (points, k, seed, max_iters, n_init)
+    if start is None:
+        want = outcome(oracle_kmeans, *args)
+        got = outcome(kmeans, *args)
+    else:
+        want = outcome(oracle_kmeans, *args, lambda p, k, rng: start.copy())
+        with mock.patch.object(cluster, "_kmeanspp_init", lambda p, k, rng, s: start.copy()):
+            got = outcome(kmeans, *args)
     if isinstance(want, str):
         assert got == want
         return
@@ -453,6 +480,104 @@ def test_kmeans_matches_broadcast_lloyd(points_centroids, data):
     assert np.array(got.wcss_history).tobytes() == np.array(history).tobytes()
     assert got.iterations_run == iterations
     assert np.float64(got.wcss).tobytes() == np.float64(wcss).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(tie_prone_points(max_n=30, max_d=3, max_k=5), st.data())
+def test_kmeans_matches_broadcast_lloyd(points_centroids, data):
+    points = points_centroids[0]
+    k = data.draw(st.integers(1, points.shape[0]))
+    check_kmeans(points, k, data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 12)),
+                 data.draw(st.integers(1, 3)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(tie_prone_points(max_n=30, max_d=3, max_k=5), st.data())
+def test_lloyd_from_any_start_matches_broadcast_lloyd(points_centroids, data):
+    """Starts off the data, with duplicate and far-away centroids, so that
+    clusters empty out at the start or mid-run and the bounds of reseeded
+    centroids are rebuilt."""
+    points, start = points_centroids
+    if start.shape[0] > points.shape[0]:
+        start = start[: points.shape[0]]
+    check_kmeans(points, start.shape[0], 0, data.draw(st.integers(1, 12)), 1, start)
+
+
+def test_cluster_emptied_mid_run_is_reseeded():
+    # 1 and 9 start in the middle cluster, whose mean 5 then loses both to
+    # the outer clusters' means 0 and 10
+    points = np.array([[0.0], [1.0], [9.0], [10.0]])
+    start = np.array([[-3.5], [5.0], [13.5]])
+    centroids = start.copy()
+    first = oracle_assign_with_repair(points, centroids)
+    assert list(first) == [0, 1, 1, 2]
+    means = oracle_group_means(points, first, 3)
+    assert 1 not in ((points[:, None, :] - means[None]) ** 2).sum(axis=2).argmin(axis=1)
+    for offset in (0.0, 1e6, 3e8):
+        check_kmeans(points + offset, 3, 0, 10, 1, start + offset)
+
+
+@st.composite
+def blobs(draw):
+    """Gaussian blobs, large enough that most points skip reassignment once
+    the centroids settle, at any scale and offset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_blobs = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(n_blobs, 400))
+    centers = rng.standard_normal((n_blobs, d)) * draw(st.sampled_from([1.0, 3.0, 10.0]))
+    points = centers[rng.integers(n_blobs, size=n)] + rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        points[rng.integers(n, size=n // 4)] = points[rng.integers(n, size=n // 4)]  # duplicates
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-100, 1e100, 1e150]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 3e8]))
+    return points * scale + offset
+
+
+@settings(deadline=None, max_examples=60)
+@given(blobs(), st.data())
+def test_bounded_lloyd_matches_broadcast_lloyd_on_blobs(points, data):
+    k = data.draw(st.integers(1, min(points.shape[0], 12)))
+    check_kmeans(points, k, data.draw(st.integers(0, 2**16)), 100, data.draw(st.integers(1, 3)))
+
+
+@st.composite
+def labeled_points(draw):
+    """Points at any scale and offset, with labels that leave no cluster empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    labels = rng.integers(0, k, n)
+    labels[rng.permutation(n)[:k]] = np.arange(k)
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150, 1e160]))
+    offset = draw(st.sampled_from([0.0, 1e6, 3e8]))
+    points = rng.standard_normal((n, d)) * scale + offset
+    if draw(st.booleans()):
+        points = np.round(points)  # ties and duplicates
+    return points, labels, k
+
+
+@settings(deadline=None, max_examples=200)
+@given(labeled_points(), st.integers(0, 2**16))
+def test_cluster_kernels_match_direct_formulas(points_labels, seed):
+    points, labels, k = points_labels
+    scratch = np.empty_like(points)
+    means = cluster._group_means(points, labels, k, scratch)
+    assert means.tobytes() == oracle_group_means(points, labels, k).tobytes()
+    with np.errstate(over="ignore"):
+        want = oracle_wcss(points, labels, means)
+        assert np.float64(cluster._wcss(points, labels, means, scratch)).tobytes() == (
+            np.float64(want).tobytes())
+        centroid = points[seed % points.shape[0]]
+        assert cluster._sq_dists_to(points, centroid, scratch).tobytes() == (
+            ((points - centroid) ** 2).sum(axis=1).tobytes())
+        got = outcome(cluster._kmeanspp_init, points, k, np.random.default_rng(seed), scratch)
+        want = outcome(oracle_kmeanspp, points, k, np.random.default_rng(seed))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def oracle_rho(u, v):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moe_prune import (
     CalibrationCache,
@@ -11,7 +13,7 @@ from moe_prune import (
     reconstruction_loss,
     variability_scores,
 )
-from moe_prune.metrics import PerformanceMatrix
+from moe_prune.metrics import PerformanceMatrix, _domains, _perf_row
 from moe_prune.moe_sim import forward_subset_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
@@ -213,6 +215,34 @@ def test_perf_empty_domain_rejected(rng):
     labels = np.array([0, 0, 0, 2, 2, 2])  # domain 1 missing
     with pytest.raises(ValueError, match="domain 1"):
         performance_matrix(cache, layer, [0, 1], labels)
+
+
+def test_perf_non_integer_labels_named(rng):
+    layer = make_random_layer(rng, n=3)
+    cache = make_random_cache(rng, layer, n_tokens=6)
+    for labels in (np.zeros(6), np.array([0.0, 1.0, 0.5, 1.0, 0.0, 1.0]), np.zeros(6, dtype=bool)):
+        with pytest.raises(ValueError, match="labels must be integer domain ids"):
+            performance_matrix(cache, layer, [0, 1], labels)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 9), st.integers(1, 8),
+       st.sampled_from([1e-20, 1.0, 1e15]))
+def test_perf_row_matches_masked_mean(seed, n_tokens, hidden, n_domains, scale):
+    """Bit for bit the direct formula: f64 errors summed per token, then
+    `.mean()` of each domain's masked errors."""
+    rng = np.random.default_rng(seed)
+    out = (rng.standard_normal((n_tokens, hidden)) * scale).astype(np.float32)
+    full = (rng.standard_normal((n_tokens, hidden)) * scale).astype(np.float32)
+    n_domains = min(n_domains, n_tokens)
+    labels = rng.integers(0, n_domains, n_tokens)
+    labels[rng.permutation(n_tokens)[:n_domains]] = np.arange(n_domains)  # none empty
+    labels = labels.astype(rng.choice([np.int8, np.int32, np.int64]))
+    per_token = ((out.astype(np.float64) - full.astype(np.float64)) ** 2).sum(axis=1)
+    want = np.array([per_token[labels == k].mean() for k in range(int(labels.max()) + 1)])
+    masks, sizes = _domains(labels, n_tokens)
+    assert _perf_row(out, full, masks, sizes).tobytes() == want.tobytes()
+    assert list(sizes) == [int((labels == k).sum()) for k in range(want.size)]
 
 
 def test_perf_candidate_validation(rng):

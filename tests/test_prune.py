@@ -1,11 +1,17 @@
 import itertools
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moe_prune import (
+    METHODS,
     ArchiveError,
     PruningPlan,
     activation_frequency,
@@ -309,6 +315,124 @@ def test_plan_mop_distinct_groups_checked():
             {"n": 4, "r": 3, "m": 1},
             diagnostics={"groups": [[1, 2], [3]]},
         )
+
+
+@st.composite
+def valid_plans(draw, methods=METHODS):
+    """The arguments of a valid PruningPlan of one of `methods`: kept experts
+    in any order, tags to match, and for mop one Ward group per diversity
+    expert among groups that may hold experts not kept."""
+    method = draw(st.sampled_from(methods))
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(2 if method in ("gvp", "mop") else 1, max(n, 2)))
+    n = max(n, r)
+    kept = draw(st.permutations(range(n)))[:r]
+    params = {"n": n, "r": r, "m": None, "K": None, "seed": None}
+    diagnostics: dict = {}
+    if method in ("gvp", "mop"):
+        m = draw(st.integers(0, r - 1))
+        params["m"] = m
+        provenance = draw(st.permutations(["general"] * m + ["diversity"] * (r - m)))
+        diagnostics["general"] = np.array(
+            sorted(e for e, tag in zip(kept, provenance) if tag == "general"), dtype=np.int32
+        )
+        if method == "mop":
+            params["K"] = r - m
+            groups = [[e] for e, tag in zip(kept, provenance) if tag == "diversity"]
+            for e in sorted(set(range(n)) - set(kept)):  # not kept: joins any group or none
+                g = draw(st.integers(-1, len(groups) - 1))
+                if g >= 0:
+                    groups[g] = sorted(groups[g] + [e])
+            diagnostics["groups"] = groups
+    else:
+        provenance = ["baseline"] * r
+    return method, list(kept), list(provenance), params, diagnostics
+
+
+@settings(deadline=None, max_examples=200)
+@given(valid_plans())
+def test_valid_plans_construct_sorted_and_round_trip(args):
+    method, kept, provenance, params, diagnostics = args
+    plan = PruningPlan(method, kept, provenance, dict(params), dict(diagnostics))
+    assert plan.kept == sorted(kept)
+    assert sorted(zip(plan.kept, plan.provenance)) == sorted(zip(kept, provenance))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_plan(plan, os.path.join(tmp, "plan"))
+        loaded = load_plan(os.path.join(tmp, "plan"))
+    assert (loaded.method, loaded.kept, loaded.provenance, loaded.params) == (
+        plan.method, plan.kept, plan.provenance, plan.params
+    )
+    assert loaded.diagnostics.keys() == plan.diagnostics.keys()
+    if "general" in plan.diagnostics:
+        assert loaded.diagnostics["general"].tobytes() == plan.diagnostics["general"].tobytes()
+    assert loaded.diagnostics.get("groups") == plan.diagnostics.get("groups")
+
+
+def break_plan(args, fault):
+    """One valid plan's arguments with exactly one invariant broken, or None
+    when this plan cannot carry that fault; and the message it must raise."""
+    method, kept, provenance, params, diagnostics = args
+    kept, provenance, params = list(kept), list(provenance), dict(params)
+    diagnostics = {**diagnostics, "groups": [list(g) for g in diagnostics.get("groups", [])]}
+    diversity = [e for e, tag in zip(kept, provenance) if tag == "diversity"]
+    if fault == "method":
+        method, match = "bogus", "unknown method"
+    elif fault == "r":
+        params["r"] += 1
+        match = f"expected r={params['r']}"
+    elif fault == "n":
+        params["n"] = max(kept)
+        match = "out of range"
+    elif fault == "negative":
+        kept[0] = -1 - kept[0]
+        match = "nonnegative"
+    elif fault == "duplicate":
+        if len(kept) < 2:
+            return None
+        kept[1] = kept[0]
+        match = "unique"
+    elif fault == "untagged":
+        provenance.pop()
+        match = "tag every kept expert"
+    elif fault == "tag":
+        provenance[-1] = "bogus"
+        match = "provenance tags"
+    elif fault == "tag_count":
+        params["m"] += 1
+        match = "general"
+    elif fault == "groupless":
+        diagnostics["groups"] = [[e for e in g if e != diversity[0]] for g in diagnostics["groups"]]
+        diagnostics["groups"] = [g for g in diagnostics["groups"] if g]
+        match = f"diversity expert {diversity[0]} not in exactly one group"
+    elif fault == "shared_group":
+        if len(diversity) < 2:
+            return None
+        a, b = (g for g in diagnostics["groups"] if set(g) & set(diversity[:2]))
+        diagnostics["groups"] = [g for g in diagnostics["groups"] if g not in (a, b)]
+        diagnostics["groups"].append(sorted(a + b))
+        match = "distinct groups"
+    if method != "mop" or not diagnostics["groups"] and fault != "groupless":
+        diagnostics.pop("groups")
+    return (method, kept, provenance, params, diagnostics), match
+
+
+# each fault, and the methods whose plans can carry it
+FAULTS = {
+    "method": METHODS, "r": METHODS, "n": METHODS, "negative": METHODS,
+    "duplicate": METHODS, "untagged": METHODS, "tag": METHODS,
+    "tag_count": ("gvp", "mop"), "groupless": ("mop",), "shared_group": ("mop",),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_each_plan_invariant_is_named(fault, data):
+    broken = break_plan(data.draw(valid_plans(FAULTS[fault])), fault)
+    assume(broken is not None)
+    (method, kept, provenance, params, diagnostics), match = broken
+    with pytest.raises(ValueError, match=re.escape(match)):
+        PruningPlan(method, kept, provenance, params, diagnostics)
 
 
 def test_plan_round_trip(tmp_path):

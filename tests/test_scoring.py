@@ -20,8 +20,10 @@ from moe_prune import (
     ExpertTransform,
     MoELayer,
     cache_from_inputs,
+    performance_matrix,
     prune_enum,
     prune_gvp,
+    prune_mop,
     reconstruction_loss,
 )
 from moe_prune import moe_sim
@@ -278,3 +280,29 @@ def test_search_applies_each_expert_once(rng, monkeypatch, mode, r):
     refs, _ = watch_outputs(monkeypatch)
     prune_enum(cache, layer, r, mode=mode)
     assert len(refs) == 6
+
+
+@pytest.mark.parametrize("m, budget, mode", [
+    (0, 100, "none"), (1, 100, "exhaustive"), (2, 100, "exhaustive"), (2, 10, "greedy"),
+])
+def test_mop_applies_each_expert_once(rng, monkeypatch, m, budget, mode):
+    """Stage 1 hands its outputs to the performance matrix, which then equals
+    one computed from fresh applies, bit for bit."""
+    layer = make_random_layer(rng, n=8)
+    cache = make_random_cache(rng, layer)
+    index = {id(expert): e for e, expert in enumerate(layer.experts)}
+    applied = []
+    apply = ExpertTransform.apply
+
+    def counting_apply(self, x):
+        if x is cache.inputs:
+            applied.append(index[id(self)])
+        return apply(self, x)
+
+    monkeypatch.setattr(ExpertTransform, "apply", counting_apply)
+    plan = prune_mop(cache, layer, 5, m=m, kmeans_seed=3, budget=budget)
+    assert sorted(applied) == list(range(8))
+    assert plan.diagnostics["stage1_mode"] == mode
+    candidates = plan.diagnostics["candidate_ids"]
+    perf = performance_matrix(cache, layer, candidates, plan.diagnostics["labels"])
+    assert perf.errors.tobytes() == plan.diagnostics["perf_errors"].tobytes()
