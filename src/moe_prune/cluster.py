@@ -301,7 +301,7 @@ def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) ->
     return DomainLabeling(
         labels=labels.astype(np.int32),
         centroids=centroids,
-        wcss=_wcss(pts, labels, centroids, scratch),
+        wcss=history[-1],  # the labels and centroids of the last update
         iterations_run=iterations_run,
         wcss_history=history,
     )
@@ -313,11 +313,10 @@ def kmeans(
     """Seeded Lloyd iterations from a k-means++ start.
 
     Stops when labels are unchanged or after max_iters centroid updates;
-    the within-cluster sum of squares is recomputed from the returned
-    labels and centroids. With n_init > 1 the whole procedure reruns
-    from fresh draws of the same generator and the lowest-WCSS labeling
-    wins (k-means++ can seed two centers inside one true cluster, which
-    Lloyd cannot undo).
+    the within-cluster sum of squares is that of the returned labels and
+    centroids. With n_init > 1 the whole procedure reruns from fresh draws
+    of the same generator and the lowest-WCSS labeling wins (k-means++ can
+    seed two centers inside one true cluster, which Lloyd cannot undo).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -359,20 +358,28 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _centered_ranks(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fractional ranks minus their mean, and their sum of squares."""
-    ranks = fractional_ranks(values)
-    centered = ranks - ranks.mean()
-    return centered, float(np.dot(centered, centered))
+def _rho_matrix(values: np.ndarray) -> np.ndarray:
+    """Every pair's Spearman rho over the rows of `values` (K >= 2 columns):
+    the Pearson correlation of fractional ranks, 0 where either row is
+    constant.
 
-
-def _rho(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
-    """Pearson correlation of two `_centered_ranks` results, 0 if either is constant."""
-    (cu, ss_u), (cv, ss_v) = u, v
-    if ss_u == 0.0 or ss_v == 0.0:
-        return 0.0
-    rho = float(np.dot(cu, cv)) / np.sqrt(ss_u * ss_v)
-    return float(min(1.0, max(-1.0, rho)))
+    Each row is ranked once. A fractional rank is a multiple of 1/2 and their
+    mean is exactly (K + 1)/2, so twice a centered rank is an integer below K
+    in magnitude. One int64 matrix product of those integers gives four
+    times every pair's dot product and every row's sum of squares, integers
+    below K^3 < 2^53 for K < 2^17, so exact in float64. A per-pair float64
+    dot product of the centered ranks is exact too, in any summation order
+    and with or without fused multiply-adds, since every partial sum is a
+    multiple of 1/4 below 2^51: the two agree bit for bit.
+    """
+    n_cols = values.shape[1]
+    doubled = np.array([2.0 * fractional_ranks(row) for row in values]) - (n_cols + 1)
+    doubled = doubled.astype(np.int64)
+    dots = (doubled @ doubled.T).astype(np.float64) / 4.0
+    ss = dots.diagonal().copy()
+    ss[ss == 0.0] = 1.0  # a constant row's dots are all 0, so its rho is 0
+    rho = dots / np.sqrt(np.multiply.outer(ss, ss))
+    return np.clip(rho, -1.0, 1.0, out=rho)
 
 
 def spearman_rho(u: np.ndarray, v: np.ndarray) -> float:
@@ -389,26 +396,23 @@ def spearman_rho(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("rank correlation needs at least 2 entries")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("inputs contain non-finite values")
-    return _rho(_centered_ranks(u), _centered_ranks(v))
+    return float(_rho_matrix(np.stack([u, v]))[0, 1])
 
 
 def similarity_matrix(perf: PerformanceMatrix) -> SimilarityMatrix:
     """Pairwise (1 + rho)/2 over performance-vector rows; diagonal forced to 1.
 
-    Each row is ranked once; every pair's rho is then the one spearman_rho
-    gives, bit for bit. With a single domain column every row is constant,
-    so the constant-vector convention (rho := 0) applies directly: all
-    off-diagonal 0.5.
+    Every pair's rho is the one spearman_rho gives, bit for bit. With a
+    single domain column every row is constant, so the constant-vector
+    convention (rho := 0) applies directly: all off-diagonal 0.5.
     """
     errors = perf.errors
     c, n_domains = errors.shape
-    s = np.full((c, c), 0.5, dtype=np.float64)
     if n_domains >= 2:
-        rows = [_centered_ranks(row) for row in errors]
-        for i in range(c):
-            for j in range(i + 1, c):
-                rho = _rho(rows[i], rows[j])
-                s[i, j] = s[j, i] = min(1.0, max(0.0, 0.5 * (1.0 + rho)))
+        s = 0.5 * (1.0 + _rho_matrix(errors))
+        np.clip(s, 0.0, 1.0, out=s)
+    else:
+        s = np.full((c, c), 0.5, dtype=np.float64)
     np.fill_diagonal(s, 1.0)
     return SimilarityMatrix(s=s, candidate_ids=perf.candidate_ids.copy())
 
@@ -426,7 +430,9 @@ def ward_partition(
     performance-matrix row. Each step merges the pair with the smallest
     increase in total error sum of squares,
     |a||b|/(|a|+|b|) * ||mean_a - mean_b||^2, ties resolved by the
-    lexicographically smallest (min member of a, min member of b). The
+    lexicographically smallest (min member of a, min member of b); costs
+    that overflow to +inf tie with each other. A merged centroid that
+    overflows float64 can make a cost NaN, which raises ValueError. The
     similarity matrix only has to describe the same candidates.
     """
     ids = [int(i) for i in sim.candidate_ids]
@@ -438,31 +444,43 @@ def ward_partition(
     if not 1 <= target_groups <= c:
         raise ValueError(f"target_groups {target_groups} outside [1, {c}]")
 
-    # clusters and pair costs are keyed by smallest member; a pair's cost
-    # depends only on its two clusters, so after a merge only the merged
-    # cluster's pairs are costed again, with the same formula and bits
-    members = {e: [e] for e in ids}
-    centroids = {e: row.astype(np.float64) for e, row in zip(ids, perf.errors)}
+    # Clusters are numbered by position in ascending id order, and a cluster
+    # keeps the number of its smallest member. Pair costs live in a [c, c]
+    # matrix: live pairs (a < b) in the upper triangle, +inf everywhere else,
+    # so argmin's first minimum in row-major order is the smallest
+    # (cost, min member of a, min member of b). A pair's cost depends only on
+    # its two clusters, so after a merge only the merged cluster's row and
+    # column are costed again, with the same formula and bits.
+    order = sorted(range(c), key=ids.__getitem__)
+    members = {p: [ids[i]] for p, i in enumerate(order)}
+    centroids = {p: perf.errors[i].astype(np.float64) for p, i in enumerate(order)}
 
     def pair_cost(a: int, b: int) -> float:
         na, nb = len(members[a]), len(members[b])
         delta = centroids[a] - centroids[b]
         return (na * nb / (na + nb)) * float(np.dot(delta, delta))
 
-    costs = {(a, b): pair_cost(a, b) for a, b in itertools.combinations(sorted(ids), 2)}
+    costs = np.full((c, c), np.inf)
+    for a, b in itertools.combinations(range(c), 2):
+        costs[a, b] = pair_cost(a, b)
     trace: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
     while len(members) > target_groups:
-        cost, a, b = min((cost, a, b) for (a, b), cost in costs.items())
+        a, b = divmod(int(costs.argmin()), c)
+        cost = float(costs[a, b])
+        if np.isnan(cost):  # argmin finds a NaN before any number
+            raise ValueError("Ward merge cost is NaN: a merged centroid overflows float64")
+        if cost == np.inf:  # every live pair overflowed: the first live pair
+            a, b = sorted(members)[:2]
         na, nb = len(members[a]), len(members[b])
         trace.append((tuple(members[a]), tuple(members[b]), cost))
         members[a] = sorted(members[a] + members.pop(b))
         centroids[a] = (na * centroids[a] + nb * centroids.pop(b)) / (na + nb)
-        costs = {pair: v for pair, v in costs.items() if a not in pair and b not in pair}
+        costs[b, :] = costs[:, b] = np.inf
         for e in members:
             if e != a:
                 pair = (min(a, e), max(a, e))
                 costs[pair] = pair_cost(*pair)
 
-    groups = [members[e] for e in sorted(members)]
+    groups = [members[p] for p in sorted(members)]
     return ExpertPartition(groups=groups, merge_trace=trace)
 

@@ -44,11 +44,11 @@ def _coverage(layer: MoELayer, kept: list[int]) -> float | None:
     if layer.specialist_domain is None:
         return None
     domains = layer.specialist_domain
-    planted = np.unique(domains[domains >= 0])
-    if planted.size == 0:
+    planted = {d for d in domains.tolist() if d >= 0}
+    if not planted:
         return None
     covered = {int(domains[i]) for i in kept if domains[i] >= 0}
-    return len(covered) / planted.size
+    return len(covered) / len(planted)
 
 
 def evaluate_plan(

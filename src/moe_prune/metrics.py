@@ -108,18 +108,24 @@ def reconstruction_loss(
 
 
 def variability_scores(cache: CalibrationCache) -> VariabilityScores:
-    """Per-expert KL(normalized activation profile || uniform), in bits."""
-    probs = cache.gate_probs.astype(np.float64)
-    n_total = cache.n_tokens
-    z = probs.sum(axis=0)
+    """Per-expert KL(normalized activation profile || uniform), in bits.
+
+    Each token's term is q log2(q N), 0 where q = 0, computed in place so
+    that at most two [N, n] float64 arrays are alive at once.
+    """
+    q = cache.gate_probs.astype(np.float64)
+    z = q.sum(axis=0)
     dead = np.flatnonzero(z == 0.0)
     if dead.size:
         raise ValueError(
             f"expert {int(dead[0])} never receives probability mass (Z == 0)"
         )
-    q = probs / z
+    q /= z
+    terms = np.multiply(q, cache.n_tokens)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(q > 0.0, q * np.log2(q * n_total), 0.0)
+        np.log2(terms, out=terms)
+        terms *= q
+    terms[q == 0.0] = 0.0
     scores = np.maximum(terms.sum(axis=0), 0.0)
     return VariabilityScores(scores=scores)
 
@@ -176,7 +182,7 @@ def performance_matrix(
     ids = np.asarray(list(candidates), dtype=np.int64)
     if ids.size == 0:
         raise ValueError("candidates must be nonempty")
-    if np.unique(ids).size != ids.size:
+    if len(set(ids.tolist())) != ids.size:
         raise ValueError("candidate list contains duplicates")
     if np.any(ids < 0) or np.any(ids >= layer.n_experts):
         raise ValueError("candidate index out of range")

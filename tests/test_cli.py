@@ -382,6 +382,58 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def _loaded_modules(importtime_stderr):
+    """Module names from the `-X importtime` lines of a process's stderr."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_eval_leaves_numpy_ma_unloaded(tmp_path):
+    # importing numpy.ma costs an eval process about 16 ms
+    model, calib, heldout = (str(tmp_path / name) for name in ("model", "calib", "heldout"))
+    plan, out = str(tmp_path / "plan"), str(tmp_path / "eval")
+    assert run(["gen-model", "--out", model]) == 0
+    assert run(["gen-calib", "--model", model, "--out", calib]) == 0
+    assert run(["gen-calib", "--model", model, "--role", "heldout", "--out", heldout]) == 0
+    assert run(["prune", "--model", model, "--cache", calib, "--method", "mop",
+                "--r", "4", "--out", plan]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "moe_prune.cli", "eval", "--model", model,
+         "--plan", plan, "--heldout", heldout, "--out", out],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = _loaded_modules(proc.stderr)
+    assert "moe_prune.evaluation" in modules
+    assert not {m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+
+def test_evaluate_plan_leaves_numpy_ma_unloaded():
+    # in a fresh interpreter: the test process has loaded numpy.ma (scipy does)
+    code = """if True:
+        import sys
+        from moe_prune.evaluation import compare_methods
+        from moe_prune.moe_sim import PlantedSpec, generate_calibration, generate_layer
+        spec = PlantedSpec(n_domains=3, specialists_per_domain=2, n_generalists=2,
+                           duplicate_noise=0.05, domain_separation=20.0, seed=5)
+        layer = generate_layer(spec, hidden_dim=16, ff_dim=32, top_k=2)
+        calib = generate_calibration(layer, spec, 32, seed=6)
+        heldout = generate_calibration(layer, spec, 32, seed=7)
+        configs = [dict(method=m, r=4, m=2, seed=1, kmeans_seed=1) for m in ("gvp", "mop")]
+        rows = compare_methods(layer, calib, heldout, configs)
+        assert all(row["coverage"] is not None for row in rows)
+        assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pipeline_determinism(pipeline, tmp_path):
     """Criterion-9-style check at module scope: rerunning every stage with the
     same config produces byte-identical archives, plans, and CSVs."""

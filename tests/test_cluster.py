@@ -603,12 +603,13 @@ def oracle_similarity(errors):
 
 
 @st.composite
-def performance_rows(draw, max_c=12, max_domains=6):
+def performance_rows(draw, max_c=12, max_domains=6, domains=None):
     """Performance matrices with tied, constant and duplicated rows, one
-    domain column or several, over distinct candidate ids in any order."""
+    domain column or several (drawn from `domains` if given), over distinct
+    candidate ids in any order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = draw(st.integers(1, max_c))
-    n_domains = draw(st.integers(1, max_domains))
+    n_domains = draw(domains if domains is not None else st.integers(1, max_domains))
     if draw(st.booleans()):
         errors = rng.integers(0, draw(st.integers(1, 4)) + 1, (c, n_domains)).astype(float)
     else:
@@ -622,8 +623,10 @@ def performance_rows(draw, max_c=12, max_domains=6):
 
 
 @settings(deadline=None, max_examples=200)
-@given(performance_rows())
+@given(performance_rows(max_c=16, domains=st.sampled_from([1, 2]) | st.integers(3, 48)))
 def test_similarity_matches_pairwise_spearman(perf):
+    # from 16 columns on, the oracle's np.dot adds in its BLAS kernel's own
+    # order; the rank products are exact, so the order cannot show
     assert similarity_matrix(perf).s.tobytes() == oracle_similarity(perf.errors).tobytes()
     first, last = perf.errors[0], perf.errors[-1]
     if first.size >= 2:
@@ -632,7 +635,8 @@ def test_similarity_matches_pairwise_spearman(perf):
 
 
 def oracle_ward(perf, target_groups):
-    """Every pair costed on every merge, in (min member, min member) order."""
+    """Every pair costed on every merge, in (min member, min member) order;
+    None if a live pair's cost is NaN."""
     ids = [int(i) for i in perf.candidate_ids]
     c = len(ids)
     members = [[ids[i]] for i in range(c)]
@@ -649,6 +653,8 @@ def oracle_ward(perf, target_groups):
                 na, nb = len(members[a]), len(members[b])
                 delta = centroids[a] - centroids[b]
                 cost = (na * nb / (na + nb)) * float(np.dot(delta, delta))
+                if np.isnan(cost):
+                    return None
                 key = (cost, members[a][0], members[b][0])
                 if best is None or key < best:
                     best = key
@@ -667,16 +673,46 @@ def oracle_ward(perf, target_groups):
     return members, trace
 
 
-@settings(deadline=None, max_examples=200)
-@given(performance_rows(max_c=14), st.data())
+@st.composite
+def overflowing_rows(draw, max_c=10):
+    """Performance rows on a few levels: exact cost ties, squared distances
+    that overflow to +inf, and merged centroids that overflow to +inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, max_c))
+    levels = np.array([0.0, 1.0, 2.0, 1e154, 1e200, 1.7e308, 1.7e308, 1.7e308])
+    errors = levels[rng.integers(0, levels.size, (c, draw(st.integers(1, 2))))]
+    return make_perf(errors, ids=list(rng.permutation(max_c * 4)[:c]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(performance_rows(max_c=14) | overflowing_rows(), st.data())
 def test_ward_matches_full_rescan(perf, data):
-    target = data.draw(st.integers(1, perf.errors.shape[0]))
-    got = ward_partition(perf, similarity_matrix(perf), target)
-    groups, trace = oracle_ward(perf, target)
+    c = perf.errors.shape[0]
+    target = data.draw(st.sampled_from([1, c]) | st.integers(1, c))
+    sim = similarity_matrix(perf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracle_ward(perf, target)
+        if want is None:
+            with pytest.raises(ValueError, match="merged centroid overflows float64"):
+                ward_partition(perf, sim, target)
+            return
+        got = ward_partition(perf, sim, target)
+    groups, trace = want
     assert got.groups == groups
     assert [(a, b, cost.hex()) for a, b, cost in got.merge_trace] == [
         (a, b, cost.hex()) for a, b, cost in trace
     ]
+
+
+def test_ward_nan_cost_names_overflow():
+    perf = make_perf([[1.7e308]] * 4, ids=[4, 2, 9, 7])
+    sim = similarity_matrix(perf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (2, 4) and (7, 9) merge at cost 0 into centroids at +inf
+        part = ward_partition(perf, sim, 2)
+        assert part.groups == [[2, 4], [7, 9]]
+        with pytest.raises(ValueError, match="NaN: a merged centroid overflows float64"):
+            ward_partition(perf, sim, 1)
 
 
 # sha256 of a small mop plan's cluster-stage diagnostics as the direct

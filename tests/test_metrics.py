@@ -124,6 +124,34 @@ def test_score_bounds_and_token_permutation(rng):
         assert np.allclose(scores, shuffled, atol=1e-12)
 
 
+def oracle_variability(gate_probs):
+    probs = gate_probs.astype(np.float64)
+    q = probs / probs.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0.0, q * np.log2(q * probs.shape[0]), 0.0)
+    return np.maximum(terms.sum(axis=0), 0.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 8),
+       st.sampled_from([0.0, 0.3, 0.9]), st.booleans())
+def test_variability_matches_direct_formula(seed, n_tokens, n_experts, zero_share, point):
+    rng = np.random.default_rng(seed)
+    probs = rng.random((n_tokens, n_experts))
+    probs[rng.random(probs.shape) < zero_share] = 0.0
+    if point:  # one expert's whole mass on one token
+        e = rng.integers(n_experts)
+        probs[:, e] = 0.0
+        probs[rng.integers(n_tokens), e] = rng.random() + 0.5
+    for e in np.flatnonzero(probs.sum(axis=0) == 0.0):
+        probs[rng.integers(n_tokens), e] = 1.0
+    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    cache = make_gate_cache(probs)
+    got = variability_scores(cache).scores
+    assert got.tobytes() == oracle_variability(cache.gate_probs).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # activation frequency
 
