@@ -104,49 +104,65 @@ def _kmeanspp_init(
     return centroids
 
 
-def _gamma(d: int) -> float:
-    """g_(d+4) = (d+4) u / (1 - (d+4) u), u the unit roundoff of float64."""
-    u = 2.0**-53
-    return (d + 4) * u / (1.0 - (d + 4) * u)
+_Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # labels, upper and lower bounds
 
 
-def _error_bound(norms: np.ndarray, c2: np.ndarray, d: int) -> np.ndarray:
-    """Per row, 4 g_(d+4) (|x| + max |c|)^2 plus an absolute term for
-    underflow: twice what the two distance forms may be off by together (see
-    `_nearest`). `norms` holds |x| and `c2` every |c|^2."""
-    reach = norms + np.sqrt(c2.max())
-    return 4.0 * _gamma(d) * reach * reach + (d + 4) * 2.0**-1070
-
-
-def _nearest(
-    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _assign(
+    points: np.ndarray,
+    sq_norms: np.ndarray,
+    norms: np.ndarray,
+    centroids: np.ndarray,
+    scratch: np.ndarray,
+    moved: tuple[np.ndarray, _Bounds] | None = None,
+) -> _Bounds:
     """Each point's nearest centroid, ties to the lowest index: exactly
     `_sq_dists(points, centroids).argmin(axis=1)`, certified row by row; with,
-    per row, an upper bound on the true distance to that centroid and a lower
-    bound on the true distance to every other one.
+    per row, an upper bound u on the true distance to that centroid and a
+    lower bound l on the true distance to every other one.
 
-    The distances come from products, |x|^2 - 2 x.c + |c|^2 (`sq_norms`
-    holds |x|^2). In any summation order, and with or without fused
-    multiply-adds, both this form and `_sq_dists` compute |x - c|^2 within
-    g_(d+2) (|x| + |c|)^2 of the true value, g_m = m u / (1 - m u): one sums
-    d rounded squares of rounded differences, the other takes three dot
-    products and two additions. A row whose gap between its two smallest
-    product-form distances exceeds twice the sum of those errors,
-    4 g_(d+2) (|x| + max |c|)^2, therefore has the same unique argmin under
-    `_sq_dists`. The bound is taken with g_(d+4), which covers the rounding
-    of the gap and of the bound, plus an absolute term for underflow. Rows
-    inside it, and rows whose gap is not finite (overflow, or k = 1), are
-    recomputed with `_sq_dists`, whose bits for a row do not depend on the
-    other rows; their distance bounds are the trivial inf and 0.
+    In any summation order, with or without fused multiply-adds, `_sq_dists`
+    and the product form |x|^2 - 2 x.c + |c|^2 (`sq_norms` holds |x|^2,
+    `norms` |x|) both compute |x - c|^2 within g_(d+2) (|x| + |c|)^2 of the
+    true value, g_m = m u / (1 - m u) for unit roundoff u. With b = 4 g_(d+4)
+    (|x| + max |c|)^2 plus an absolute term for underflow (g_(d+4) covers
+    b's own rounding), each is within b/4 of the true distance. So a row with
+    (l - u)(l + u) > b, which cannot round up past twice the margin b/2 this
+    needs, has its label as the unique argmin of `_sq_dists`. Every bound is
+    widened by a factor 1 +- 4 g_(d+4), which outweighs its few roundings.
 
-    A certified row's true squared distances lie within a quarter of the
-    bound of its product-form ones, so the square roots of the smallest plus
-    that quarter and of the second smallest minus it bound its distances,
-    each widened by a factor 1 +- 4 g_(d+4) that outweighs their rounding.
+    `moved`, if given, is the previous centroids and this function's result
+    at them. When each centroid moves by at most delta_j (widened likewise,
+    and by an absolute term for underflow), a point's distance to its
+    centroid grows by at most delta_(label) and its distance to any other
+    shrinks by at most max delta (Hamerly, "Making k-means even faster",
+    2010). Rows whose moved bounds pass the test keep their label. Every
+    other row, gathered into `scratch`, takes the product form and gets the
+    bounds u = sqrt(best + b/4) and l = sqrt(second - b/4) from its two
+    smallest distances there. It keeps the product form's label if it passes
+    the same test with a finite second - best (not so on overflow, or
+    k = 1); otherwise `_sq_dists`, whose bits for a row do not depend on the
+    other rows, decides it, with the bounds inf and 0.
     """
     n, d = points.shape
+    widen = 4.0 * (d + 4) * 2.0**-53 / (1.0 - (d + 4) * 2.0**-53)  # 4 g_(d+4)
+    hi, lo = 1.0 + widen, 1.0 - widen
     c2 = (centroids * centroids).sum(axis=1)
+    reach = norms + np.sqrt(c2.max())
+    bound = widen * reach * reach + (d + 4) * 2.0**-1070
+    if moved is not None:
+        previous, (labels, upper, lower) = moved
+        moves = np.sqrt((((centroids - previous) ** 2).sum(axis=1) + d * 2.0**-1074) * hi) * hi
+        upper = (upper + moves[labels]) * hi
+        lower = np.maximum(lower - moves.max(), 0.0) * lo
+        labels = labels.copy()
+        redo = np.flatnonzero(~((lower - upper) * (lower + upper) > bound))
+        if redo.size:
+            rows = np.take(points, redo, axis=0, out=scratch[: redo.size], mode="clip")
+            labels[redo], upper[redo], lower[redo] = _assign(
+                rows, sq_norms[redo], norms[redo], centroids, scratch
+            )
+        return labels, upper, lower
+
     # [k, n]: numpy reduces over the short centroid axis fastest this way. One
     # matrix-vector product per centroid, because a first float64 matrix
     # product makes OpenBLAS touch another 256 KB of its packing buffer.
@@ -157,81 +173,39 @@ def _nearest(
     dist += c2[:, None]
     dist += sq_norms
     labels = dist.argmin(axis=0)
-    rows = np.arange(n)
-    best = dist[labels, rows]
-    dist[labels, rows] = np.inf
+    cols = np.arange(n)
+    best = dist[labels, cols]
+    dist[labels, cols] = np.inf
     second = dist.min(axis=0)
-    gap = second - best
-    bound = _error_bound(np.sqrt(sq_norms), c2, d)
-    unsure = np.flatnonzero(~(np.isfinite(gap) & (gap > bound)))
+    upper = np.sqrt(np.maximum(best + 0.25 * bound, 0.0) * hi) * hi
+    lower = np.sqrt(np.maximum(second - 0.25 * bound, 0.0) * lo) * lo
+    sure = np.isfinite(second - best) & ((lower - upper) * (lower + upper) > bound)
+    unsure = np.flatnonzero(~sure)
     if unsure.size:
         labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
-    bound *= 0.25
-    hi, lo = 1.0 + 4.0 * _gamma(d), 1.0 - 4.0 * _gamma(d)
-    upper = np.sqrt(np.maximum(best + bound, 0.0) * hi) * hi
-    lower = np.sqrt(np.maximum(second - bound, 0.0) * lo) * lo
-    upper[unsure] = np.inf
-    lower[unsure] = 0.0
-    return labels, upper, lower
-
-
-def _bounded_nearest(
-    points: np.ndarray,
-    sq_norms: np.ndarray,
-    norms: np.ndarray,
-    centroids: np.ndarray,
-    previous: np.ndarray,
-    nearest: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The labels and bounds of `_nearest(points, sq_norms, centroids)`, from
-    `nearest`, the labels and bounds `_nearest` gave at the `previous` centroids.
-
-    Hamerly's bounds ("Making k-means even faster", 2010): when each centroid
-    moves by at most delta_j, a point's distance to its centroid grows by at
-    most delta_(label) and its distance to any other shrinks by at most
-    max delta. Each bound and each delta is widened by 1 +- 4 g_(d+4), which
-    outweighs its few roundings, and delta by an absolute term for underflow.
-    A point whose lower bound l and upper bound u then satisfy
-    l^2 - u^2 > `_error_bound` (computed as (l - u)(l + u), which cannot
-    round up past twice the needed margin) has its label as the unique argmin
-    of `_sq_dists` too, because each of those distances is within a quarter of
-    the bound of the true one; it keeps label and bounds. Every other point
-    goes through `_nearest`, its rows gathered into `scratch`.
-    """
-    labels, upper, lower = nearest
-    d = points.shape[1]
-    hi, lo = 1.0 + 4.0 * _gamma(d), 1.0 - 4.0 * _gamma(d)
-    step = centroids - previous
-    step *= step
-    moves = np.sqrt((step.sum(axis=1) + d * 2.0**-1074) * hi) * hi
-    upper = (upper + moves[labels]) * hi
-    lower = np.maximum(lower - moves.max(), 0.0) * lo
-    bound = _error_bound(norms, (centroids * centroids).sum(axis=1), d)
-    redo = np.flatnonzero(~((lower - upper) * (lower + upper) > bound))
-    labels = labels.copy()
-    if redo.size:
-        rows = np.take(points, redo, axis=0, out=scratch[: redo.size], mode="clip")
-        labels[redo], upper[redo], lower[redo] = _nearest(rows, sq_norms[redo], centroids)
+        upper[unsure] = np.inf
+        lower[unsure] = 0.0
     return labels, upper, lower
 
 
 def _assign_with_repair(
     points: np.ndarray,
     sq_norms: np.ndarray,
+    norms: np.ndarray,
     centroids: np.ndarray,
-    nearest: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    scratch: np.ndarray,
+    moved: tuple[np.ndarray, _Bounds] | None = None,
+) -> _Bounds:
     """Assign points (ties to the lowest centroid index); reseed empty clusters
     at the point farthest from its assigned centroid until none are empty.
 
-    Returns `_nearest`'s labels and bounds at the final centroids; `nearest`,
-    if given, stands in for the first `_nearest` call.
+    Returns `_assign`'s labels and bounds at the final centroids; `moved`
+    goes to the first `_assign` call.
     """
     k = centroids.shape[0]
-    for attempt in range(k + 1):
-        if attempt or nearest is None:
-            nearest = _nearest(points, sq_norms, centroids)
+    for _ in range(k + 1):
+        nearest = _assign(points, sq_norms, norms, centroids, scratch, moved)
+        moved = None
         labels = nearest[0]
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
@@ -284,15 +258,14 @@ def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) ->
     norms = np.sqrt(sq_norms)
     scratch = np.empty_like(pts)
     centroids = _kmeanspp_init(pts, k, rng, scratch)
-    nearest = _assign_with_repair(pts, sq_norms, centroids)
+    nearest = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
     labels = nearest[0]
     history = [_wcss(pts, labels, centroids, scratch)]
     iterations_run = 0
     for _ in range(max_iters):
         iterations_run += 1
         previous, centroids = centroids, _group_means(pts, labels, k, scratch)
-        nearest = _bounded_nearest(pts, sq_norms, norms, centroids, previous, nearest, scratch)
-        nearest = _assign_with_repair(pts, sq_norms, centroids, nearest)
+        nearest = _assign_with_repair(pts, sq_norms, norms, centroids, scratch, (previous, nearest))
         new_labels = nearest[0]
         history.append(_wcss(pts, new_labels, centroids, scratch))
         if np.array_equal(new_labels, labels):

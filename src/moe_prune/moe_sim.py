@@ -159,6 +159,8 @@ class CalibrationCache:
             self.source_domain = np.ascontiguousarray(self.source_domain, dtype=np.int32)
             if self.source_domain.shape != (n,):
                 raise ValueError("source_domain must have one entry per token")
+            if np.any(self.source_domain < 0):
+                raise ValueError("source_domain must be nonnegative")
 
     @property
     def n_tokens(self) -> int:
@@ -426,24 +428,37 @@ def _require(path: str, found: Mapping[str, object], names: Iterable[str], what:
             raise tensor_store.ArchiveError(f"archive {path} has no {name!r} {what}")
 
 
+def _read_typed(path: str, kind: str):
+    """`read_archive(path, kind)`, with every array f32 but the domain maps, which are i32."""
+    manifest, arrays = tensor_store.read_archive(path, kind)
+    for entry in manifest.arrays:
+        want = "i32" if entry.name in ("specialist_domain", "source_domain") else "f32"
+        if entry.dtype != want:
+            raise tensor_store.ArchiveError(
+                f"archive {path}: array {entry.name!r} is {entry.dtype}, expected {want}"
+            )
+    return manifest, arrays
+
+
 def load_layer(path: str) -> MoELayer:
-    manifest, arrays = tensor_store.read_archive(path, "moe_layer")
+    manifest, arrays = _read_typed(path, "moe_layer")
     _require(path, manifest.metadata, ("n_experts", "top_k"), "metadata key")
     n = int(manifest.metadata["n_experts"])
     _require(
         path, arrays,
         ["router"] + [f"expert_{i}_w_{w}" for i in range(n) for w in ("in", "out")], "array",
     )
-    experts = [
-        ExpertTransform(arrays[f"expert_{i}_w_in"], arrays[f"expert_{i}_w_out"])
-        for i in range(n)
-    ]
-    return MoELayer(
-        router=arrays["router"],
-        experts=experts,
-        top_k=int(manifest.metadata["top_k"]),
-        specialist_domain=arrays.get("specialist_domain"),
-    )
+    with tensor_store._naming(f"archive {path}"):
+        experts = [
+            ExpertTransform(arrays[f"expert_{i}_w_in"], arrays[f"expert_{i}_w_out"])
+            for i in range(n)
+        ]
+        return MoELayer(
+            router=arrays["router"],
+            experts=experts,
+            top_k=int(manifest.metadata["top_k"]),
+            specialist_domain=arrays.get("specialist_domain"),
+        )
 
 
 def save_cache(cache: CalibrationCache, path: str, extra_metadata: dict[str, str] | None = None):
@@ -460,11 +475,12 @@ def save_cache(cache: CalibrationCache, path: str, extra_metadata: dict[str, str
 
 
 def load_cache(path: str) -> CalibrationCache:
-    _, arrays = tensor_store.read_archive(path, "calibration_cache")
+    _, arrays = _read_typed(path, "calibration_cache")
     _require(path, arrays, ("inputs", "outputs_full", "gate_probs"), "array")
-    return CalibrationCache(
-        inputs=arrays["inputs"],
-        outputs_full=arrays["outputs_full"],
-        gate_probs=arrays["gate_probs"],
-        source_domain=arrays.get("source_domain"),
-    )
+    with tensor_store._naming(f"archive {path}"):
+        return CalibrationCache(
+            inputs=arrays["inputs"],
+            outputs_full=arrays["outputs_full"],
+            gate_probs=arrays["gate_probs"],
+            source_domain=arrays.get("source_domain"),
+        )

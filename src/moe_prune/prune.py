@@ -421,24 +421,32 @@ def save_plan(plan: PruningPlan, path: str | os.PathLike) -> None:
 
 
 def load_plan(path: str | os.PathLike) -> PruningPlan:
+    """The plan `save_plan` wrote; a malformed one is an ArchiveError that
+    names the plan file and the field."""
     path = os.fspath(path)
     with open(path + ".json", "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    diagnostics: dict = {}
-    if doc.get("diagnostics_archive"):
-        diag_path = os.path.join(os.path.dirname(path), doc["diagnostics_archive"])
-        manifest, arrays = tensor_store.read_archive(diag_path, "plan_diagnostics")
-        diagnostics.update(arrays)
-        for key, value in manifest.metadata.items():
-            if key != "kind" and key not in diagnostics:
-                try:
-                    diagnostics[key] = json.loads(value)
-                except json.JSONDecodeError:  # an archive written before scalars were JSON
-                    diagnostics[key] = value
-    return PruningPlan(
-        method=doc["method"],
-        kept=doc["kept"],
-        provenance=doc["provenance"],
-        params=doc["params"],
-        diagnostics=diagnostics,
-    )
+        text = fh.read()
+    with tensor_store._naming(f"plan {path}.json"):
+        doc = tensor_store._typed(json.loads(text), dict, "plan root")
+        params = tensor_store._field(doc, "params", dict)
+        for key in ("n", "r", "m"):
+            tensor_store._field(params, key, int, "params", optional=True)
+        diagnostics: dict = {}
+        diag_name = tensor_store._field(doc, "diagnostics_archive", str, optional=True)
+        if diag_name:
+            diag_path = os.path.join(os.path.dirname(path), diag_name)
+            manifest, arrays = tensor_store.read_archive(diag_path, "plan_diagnostics")
+            diagnostics.update(arrays)
+            for key, value in manifest.metadata.items():
+                if key != "kind" and key not in diagnostics:
+                    try:
+                        diagnostics[key] = json.loads(value)
+                    except json.JSONDecodeError:  # an archive written before scalars were JSON
+                        diagnostics[key] = value
+        return PruningPlan(
+            method=tensor_store._field(doc, "method", str),
+            kept=tensor_store._field(doc, "kept", list, items=int),
+            provenance=tensor_store._field(doc, "provenance", list, items=str),
+            params=params,
+            diagnostics=diagnostics,
+        )

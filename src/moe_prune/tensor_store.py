@@ -101,30 +101,65 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
+        """Parse a manifest; a field of the wrong JSON type is an ArchiveError that names it."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ArchiveError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ArchiveError("manifest root must be an object")
-        try:
-            arrays = [
-                ArrayEntry(
-                    name=str(item["name"]),
-                    shape=tuple(int(d) for d in item["shape"]),
-                    dtype=str(item["dtype"]),
-                    offset=int(item["offset"]),
-                    length=int(item["length"]),
-                )
-                for item in doc["arrays"]
-            ]
-            return cls(
-                format_version=int(doc["format_version"]),
-                arrays=arrays,
-                metadata={str(k): str(v) for k, v in doc.get("metadata", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArchiveError(f"manifest missing or malformed field: {exc}") from exc
+        _typed(doc, dict, "manifest root")
+        arrays = []
+        for i, item in enumerate(_field(doc, "arrays", list)):
+            where = f"arrays[{i}]"
+            _typed(item, dict, where)
+            arrays.append(ArrayEntry(
+                name=_field(item, "name", str, where),
+                shape=tuple(_field(item, "shape", list, where, items=int)),
+                dtype=_field(item, "dtype", str, where),
+                offset=_field(item, "offset", int, where),
+                length=_field(item, "length", int, where),
+            ))
+        metadata = _field(doc, "metadata", dict, optional=True) or {}
+        for key, value in metadata.items():
+            _typed(value, str, f"metadata[{key!r}]")
+        return cls(_field(doc, "format_version", int), arrays, metadata)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, name: str):
+    """`value` if it is a `kind` (a bool is no integer); else an ArchiveError naming `name`."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ArchiveError(f"{name} must be {_JSON_TYPES[kind]}, not {json.dumps(value)[:40]}")
+
+
+def _field(
+    doc: dict, key: str, kind: type, where: str = "", optional: bool = False,
+    items: type | None = None,
+):
+    """`doc[key]`, type-checked as `_typed` checks it, and with `items` each of
+    its items too; None when `optional` and it is missing or null."""
+    name = f"{where}.{key}" if where else key
+    if key not in doc and not optional:
+        raise ArchiveError(f"{name} is missing")
+    value = doc.get(key)
+    if value is None and optional:
+        return None
+    _typed(value, kind, name)
+    if items is not None:
+        for i, item in enumerate(value):
+            _typed(item, items, f"{name}[{i}]")
+    return value
+
+
+@contextlib.contextmanager
+def _naming(source: str):
+    """Re-raises a ValueError as an ArchiveError that starts with `source`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ArchiveError(f"{source}: {exc}") from exc
 
 
 def _coerce(name: str, array: np.ndarray) -> tuple[np.ndarray, str]:
@@ -204,12 +239,12 @@ def read_archive(
         if not os.path.exists(required):
             raise FileNotFoundError(f"archive file missing: {required}")
 
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = Manifest.from_json(fh.read())
-    if kind is not None and manifest.metadata.get("kind") != kind:
-        raise ArchiveError(f"archive {path} does not hold a {kind}")
-    blob_size = os.path.getsize(blob_path)
-    manifest.validate(blob_size)
+    with _naming(f"archive {manifest_path}"):
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = Manifest.from_json(fh.read())
+        if kind is not None and manifest.metadata.get("kind") != kind:
+            raise ArchiveError(f"does not hold a {kind}")
+        manifest.validate(os.path.getsize(blob_path))
 
     with open(blob_path, "rb") as fh:
         blob = fh.read()

@@ -44,28 +44,27 @@ def test_cluster_pass_matches_recorded_digests(cluster_inputs):
 def test_bounds_skip_most_points_once_centroids_settle(cluster_inputs, monkeypatch):
     """k-means as the `cluster` workload's mop runs it (k = 11 over 2,048
     tokens): from the third Lloyd iteration of each restart on, most points
-    keep their label on the strength of their bounds alone."""
+    keep their label on the strength of their bounds alone. A row reaches the
+    product form through an `_assign` call without `moved`."""
     _, calibration, _ = cluster_inputs
     iteration, recomputed = [0], []
-    lloyd, bounded, nearest = cluster._lloyd, cluster._bounded_nearest, cluster._nearest
+    lloyd, assign = cluster._lloyd, cluster._assign
 
     def counting_lloyd(*args):
         iteration[0] = 0
         recomputed.append([0, 0])  # the restart's first, full assignment
         return lloyd(*args)
 
-    def counting_bounded(*args):
-        iteration[0] += 1
-        recomputed.append([iteration[0], 0])
-        return bounded(*args)
-
-    def counting_nearest(points, *args):
-        recomputed[-1][1] += points.shape[0]
-        return nearest(points, *args)
+    def counting_assign(points, sq_norms, norms, centroids, scratch, moved=None):
+        if moved is None:
+            recomputed[-1][1] += points.shape[0]
+        else:  # one call per Lloyd iteration
+            iteration[0] += 1
+            recomputed.append([iteration[0], 0])
+        return assign(points, sq_norms, norms, centroids, scratch, moved)
 
     monkeypatch.setattr(cluster, "_lloyd", counting_lloyd)
-    monkeypatch.setattr(cluster, "_bounded_nearest", counting_bounded)
-    monkeypatch.setattr(cluster, "_nearest", counting_nearest)
+    monkeypatch.setattr(cluster, "_assign", counting_assign)
     cluster.kmeans(calibration.inputs, 11, seed=0, max_iters=100, n_init=8)
     late = np.array([rows for it, rows in recomputed if it > 2])
     assert late.size >= 8

@@ -372,6 +372,63 @@ def test_missing_metadata_key_named(pipeline, tmp_path, capsys):
     assert broken in err and "'top_k'" in err and "metadata" in err
 
 
+def _json_edit(edit):
+    """A change that applies `edit` to the JSON document at `<prefix>.json`."""
+    def change(prefix):
+        with open(prefix + ".json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(prefix + ".json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # writes inf as Infinity
+    return change
+
+
+def _document(**fields):
+    return _json_edit(lambda doc: doc.update(fields))
+
+
+def _first_array(**fields):
+    return _json_edit(lambda doc: doc["arrays"][0].update(fields))
+
+
+def _negative_source_domain(prefix):
+    manifest, arrays = read_archive(prefix)
+    arrays["source_domain"][0] = -1
+    write_archive(prefix, arrays, manifest.metadata)
+
+
+# the input to break, how, and the field the error must name with its file
+MALFORMED = {
+    "metadata_list": ("model", _document(metadata=[]), "metadata"),
+    "shape_infinity": ("model", _first_array(shape=[float("inf"), 16]), "arrays[0].shape[0]"),
+    "shape_string": ("model", _first_array(shape="816"), "arrays[0].shape"),
+    "format_version_string": ("model", _document(format_version="1"), "format_version"),
+    "dtype_swapped": ("model", _first_array(dtype="i32"), "'router' is i32, expected f32"),
+    "params_scalar": ("plan", _document(params=1), "params"),
+    "kept_float": ("plan", _document(kept=1e308), "kept"),
+    "kept_out_of_range": ("plan", _document(kept=[0, 1, 2, 99]), "kept index out of range"),
+    "diagnostics_archive_int": ("plan", _document(diagnostics_archive=5), "diagnostics_archive"),
+    "source_domain_negative": ("heldout", _negative_source_domain, "source_domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_fails_by_name(pipeline, tmp_path, capsys, case):
+    config, model, calib, heldout = pipeline
+    plan = str(tmp_path / "plan")
+    assert run(["prune", "--model", model, "--cache", calib, "--method", "mop",
+                "--r", "4", "--out", plan]) == 0
+    target, change, field = MALFORMED[case]
+    prefix = {"model": model, "plan": plan, "heldout": heldout}[target]
+    change(prefix)
+    capsys.readouterr()
+    code = run(["eval", "--model", model, "--plan", plan, "--heldout", heldout,
+                "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ")
+    assert prefix in err and field in err, err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # MOP_THREADS must take effect before numpy is first imported
     src = os.path.dirname(os.path.dirname(cli.__file__))

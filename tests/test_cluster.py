@@ -419,11 +419,20 @@ def tie_prone_points(draw, max_n=40, max_d=5, max_k=6):
     return points * scale + offset, centroids * scale + offset
 
 
-def check_assignment(points, centroids):
+def check_assignment(points, centroids, shift=None):
+    """`_assign_with_repair` against the oracle; with `shift`, starting from
+    the labels and bounds `_assign` gave at the centroids moved by `shift`."""
     got_centroids, want_centroids = centroids.copy(), centroids.copy()
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         sq_norms = (points * points).sum(axis=1)
-    got = outcome(cluster._assign_with_repair, points, sq_norms, got_centroids)
+        norms, scratch = np.sqrt(sq_norms), np.empty_like(points)
+        moved = None
+        if shift is not None:
+            previous = centroids + shift
+            moved = (previous, cluster._assign(points, sq_norms, norms, previous, scratch))
+    got = outcome(
+        cluster._assign_with_repair, points, sq_norms, norms, got_centroids, scratch, moved
+    )
     want = outcome(oracle_assign_with_repair, points, want_centroids)
     if isinstance(want, str):
         assert got == want
@@ -433,9 +442,9 @@ def check_assignment(points, centroids):
 
 
 @settings(deadline=None, max_examples=400)
-@given(tie_prone_points())
-def test_assignment_matches_broadcast_formula(points_centroids):
-    check_assignment(*points_centroids)
+@given(tie_prone_points(), st.sampled_from([None, 0.0, 1e-9, 0.5, 1e3]))
+def test_assignment_matches_broadcast_formula(points_centroids, shift):
+    check_assignment(*points_centroids, shift)
 
 
 @pytest.mark.parametrize(
