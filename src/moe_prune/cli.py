@@ -206,9 +206,7 @@ def cmd_gen_calib(args: argparse.Namespace, outputs: _Outputs) -> int:
 
 def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
     from .moe_sim import load_cache, load_layer
-    from .prune import (
-        PROVENANCE_BASELINE, PROVENANCE_DIVERSITY, PROVENANCE_GENERAL, prune_with_method, save_plan,
-    )
+    from .prune import PROVENANCE_TAGS, prune_with_method, save_plan
 
     layer = load_layer(args.model)
     cache = load_cache(args.cache)
@@ -224,7 +222,7 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
     _write_provenance(out_dir, "prune", params, outputs)
     print(f"method: {plan.method}")
     print(f"kept: {plan.kept}")
-    for tag in (PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE):
+    for tag in PROVENANCE_TAGS:
         tagged = [i for i, t in zip(plan.kept, plan.provenance) if t == tag]
         if tagged:
             print(f"  {tag}: {tagged}")

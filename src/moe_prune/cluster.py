@@ -332,7 +332,7 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _rho_matrix(values: np.ndarray) -> np.ndarray:
-    """Every pair's Spearman rho over the rows of `values` (K >= 2 columns):
+    """Every pair's Spearman rho over the rows of `values` (K columns):
     the Pearson correlation of fractional ranks, 0 where either row is
     constant.
 
@@ -376,16 +376,11 @@ def similarity_matrix(perf: PerformanceMatrix) -> SimilarityMatrix:
     """Pairwise (1 + rho)/2 over performance-vector rows; diagonal forced to 1.
 
     Every pair's rho is the one spearman_rho gives, bit for bit. With a
-    single domain column every row is constant, so the constant-vector
-    convention (rho := 0) applies directly: all off-diagonal 0.5.
+    single domain column every row is constant, so every rho is 0 and every
+    off-diagonal similarity 0.5.
     """
-    errors = perf.errors
-    c, n_domains = errors.shape
-    if n_domains >= 2:
-        s = 0.5 * (1.0 + _rho_matrix(errors))
-        np.clip(s, 0.0, 1.0, out=s)
-    else:
-        s = np.full((c, c), 0.5, dtype=np.float64)
+    s = 0.5 * (1.0 + _rho_matrix(perf.errors))
+    np.clip(s, 0.0, 1.0, out=s)
     np.fill_diagonal(s, 1.0)
     return SimilarityMatrix(s=s, candidate_ids=perf.candidate_ids.copy())
 

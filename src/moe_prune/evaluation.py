@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _check_cache_layer
+from .metrics import _check_cache_layer, _domain_errors, _domains
 from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
 from .prune import PruningPlan, prune_with_method
 
@@ -62,21 +62,11 @@ def evaluate_plan(
     if heldout.source_domain is None:
         raise ValueError("held-out cache lacks source_domain labels for per-domain stats")
 
+    masks, counts = _domains(heldout.source_domain, heldout.n_tokens)
     pred, weights = _pruned_forward(layer, plan.kept, heldout.inputs)
-    diff = pred.astype(np.float64) - heldout.outputs_full.astype(np.float64)
-    per_token = (diff * diff).sum(axis=1)
-
-    source = heldout.source_domain
-    n_domains = int(source.max()) + 1
-    counts = np.bincount(source, minlength=n_domains)
-    if np.any(counts == 0):
-        raise ValueError("held-out cache has an empty source domain")
-    per_domain = np.array(
-        [per_token[source == d].sum() for d in range(n_domains)], dtype=np.float64
-    )
-
+    per_token, per_domain = _domain_errors(pred, heldout.outputs_full, masks)
     weights = weights.astype(np.float64)
-    heatmap = np.stack([weights[source == d].mean(axis=0) for d in range(n_domains)])
+    heatmap = np.stack([weights[mask].mean(axis=0) for mask in masks])
 
     return EvalReport(
         method=plan.method,
@@ -108,7 +98,9 @@ def compare_methods(
     heldout: CalibrationCache,
     configs: list[dict],
 ) -> list[dict]:
-    """Run each config (method, r, optional m/seed/kmeans_seed) and tabulate.
+    """Run each config and tabulate. A config is the keywords of
+    `prune_with_method` (method, r and any of m, seed, kmeans_seed, budget);
+    an unknown key raises a TypeError that names it.
 
     Deltas are against the first config; wall_time_s is the only
     non-deterministic column.
@@ -118,15 +110,7 @@ def compare_methods(
     rows: list[dict] = []
     for config in configs:
         start = time.perf_counter()
-        plan = prune_with_method(
-            calibration,
-            layer,
-            method=config["method"],
-            r=config["r"],
-            m=config.get("m"),
-            seed=config.get("seed"),
-            kmeans_seed=config.get("kmeans_seed"),
-        )
+        plan = prune_with_method(calibration, layer, **config)
         wall = time.perf_counter() - start
         report = evaluate_plan(layer, plan, heldout)
         rows.append(

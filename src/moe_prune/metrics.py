@@ -55,6 +55,15 @@ def _check_cache_layer(cache: CalibrationCache, layer: MoELayer) -> None:
         raise ValueError("cache gate_probs expert count does not match layer")
 
 
+def _sq_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The squared error of `pred` against `target`, elementwise in float64:
+    every loss in the package is a sum of these."""
+    diff = pred.astype(np.float64)
+    diff -= target
+    diff *= diff
+    return diff
+
+
 class _LossScorer:
     """Reconstruction losses of many kept sets over one cache.
 
@@ -91,10 +100,7 @@ class _LossScorer:
 
     def loss(self, kept: Iterable[int]) -> float:
         pred, _ = _pruned_forward(self._layer, kept, self._cache.inputs, self._output)
-        diff = pred.astype(np.float64)
-        diff -= self._target
-        diff *= diff
-        return float(diff.sum())
+        return float(_sq_error(pred, self._target).sum())
 
     def release(self, e: int) -> None:
         self._outputs.pop(e, None)
@@ -155,20 +161,21 @@ def _domains(labels: np.ndarray, n_tokens: int) -> tuple[list[np.ndarray], np.nd
     return [labels == k for k in range(sizes.size)], sizes
 
 
+def _domain_errors(
+    pred: np.ndarray, target: np.ndarray, masks: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's squared error of `pred` against `target`, and their sum
+    over each domain's tokens, added in token order."""
+    per_token = _sq_error(pred, target).sum(axis=1)
+    return per_token, np.array([np.add.reduce(per_token[mask]) for mask in masks])
+
+
 def _perf_row(
     out: np.ndarray, outputs_full: np.ndarray, masks: list[np.ndarray], sizes: np.ndarray
 ) -> np.ndarray:
     """One expert's mean squared error against the full layer per domain, from
-    its output `out` on the cached inputs.
-
-    Each domain's errors are added in token order and divided by their
-    count, as `.mean()` of the masked errors does.
-    """
-    diff = out.astype(np.float64)
-    diff -= outputs_full
-    diff *= diff
-    per_token = diff.sum(axis=1)
-    return np.array([np.add.reduce(per_token[mask]) / size for mask, size in zip(masks, sizes)])
+    its output `out` on the cached inputs, as `.mean()` of the masked errors."""
+    return _domain_errors(out, outputs_full, masks)[1] / sizes
 
 
 def performance_matrix(

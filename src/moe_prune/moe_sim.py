@@ -422,41 +422,40 @@ def save_layer(layer: MoELayer, path: str, extra_metadata: dict[str, str] | None
     return tensor_store.write_archive(path, arrays, metadata)
 
 
-def _require(path: str, found: Mapping[str, object], names: Iterable[str], what: str) -> None:
-    for name in names:
-        if name not in found:
-            raise tensor_store.ArchiveError(f"archive {path} has no {name!r} {what}")
-
-
-def _read_typed(path: str, kind: str):
-    """`read_archive(path, kind)`, with every array f32 but the domain maps, which are i32."""
-    manifest, arrays = tensor_store.read_archive(path, kind)
+def _check_dtypes(manifest: tensor_store.Manifest, domain_map: str) -> None:
+    """Every array is f32 but the archive kind's domain map, which is i32."""
     for entry in manifest.arrays:
-        want = "i32" if entry.name in ("specialist_domain", "source_domain") else "f32"
+        want = "i32" if entry.name == domain_map else "f32"
         if entry.dtype != want:
-            raise tensor_store.ArchiveError(
-                f"archive {path}: array {entry.name!r} is {entry.dtype}, expected {want}"
-            )
-    return manifest, arrays
+            raise ValueError(f"array {entry.name!r} is {entry.dtype}, expected {want}")
+
+
+def _get(found: Mapping[str, object], name: str, what: str = "array"):
+    if name not in found:
+        raise ValueError(f"no {name!r} {what}")
+    return found[name]
 
 
 def load_layer(path: str) -> MoELayer:
-    manifest, arrays = _read_typed(path, "moe_layer")
-    _require(path, manifest.metadata, ("n_experts", "top_k"), "metadata key")
-    n = int(manifest.metadata["n_experts"])
-    _require(
-        path, arrays,
-        ["router"] + [f"expert_{i}_w_{w}" for i in range(n) for w in ("in", "out")], "array",
-    )
+    """The layer `save_layer` wrote. Its expert count is the router's row
+    count, which the `n_experts` metadata must equal; every error names the
+    archive."""
+    manifest, arrays = tensor_store.read_archive(path, "moe_layer")
     with tensor_store._naming(f"archive {path}"):
+        _check_dtypes(manifest, "specialist_domain")
+        router = _as_f32("router", _get(arrays, "router"), 2)
+        n = router.shape[0]
+        n_meta = _get(manifest.metadata, "n_experts", "metadata key")
+        if n_meta != str(n):
+            raise ValueError(f"metadata 'n_experts' is {n_meta!r}, but the router has {n} rows")
         experts = [
-            ExpertTransform(arrays[f"expert_{i}_w_in"], arrays[f"expert_{i}_w_out"])
+            ExpertTransform(_get(arrays, f"expert_{i}_w_in"), _get(arrays, f"expert_{i}_w_out"))
             for i in range(n)
         ]
         return MoELayer(
-            router=arrays["router"],
+            router=router,
             experts=experts,
-            top_k=int(manifest.metadata["top_k"]),
+            top_k=int(_get(manifest.metadata, "top_k", "metadata key")),
             specialist_domain=arrays.get("specialist_domain"),
         )
 
@@ -475,12 +474,12 @@ def save_cache(cache: CalibrationCache, path: str, extra_metadata: dict[str, str
 
 
 def load_cache(path: str) -> CalibrationCache:
-    _, arrays = _read_typed(path, "calibration_cache")
-    _require(path, arrays, ("inputs", "outputs_full", "gate_probs"), "array")
+    manifest, arrays = tensor_store.read_archive(path, "calibration_cache")
     with tensor_store._naming(f"archive {path}"):
+        _check_dtypes(manifest, "source_domain")
         return CalibrationCache(
-            inputs=arrays["inputs"],
-            outputs_full=arrays["outputs_full"],
-            gate_probs=arrays["gate_probs"],
+            inputs=_get(arrays, "inputs"),
+            outputs_full=_get(arrays, "outputs_full"),
+            gate_probs=_get(arrays, "gate_probs"),
             source_domain=arrays.get("source_domain"),
         )

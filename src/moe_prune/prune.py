@@ -35,9 +35,8 @@ from .metrics import (
 )
 from .moe_sim import CalibrationCache, MoELayer
 
-PROVENANCE_GENERAL = "general"
-PROVENANCE_DIVERSITY = "diversity"
-PROVENANCE_BASELINE = "baseline"
+PROVENANCE_TAGS = ("general", "diversity", "baseline")  # in the order `prune` prints them
+PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE = PROVENANCE_TAGS
 
 
 def default_general_count(r: int) -> int:
@@ -74,9 +73,8 @@ class PruningPlan:
             raise ValueError(f"kept index out of range [0, {n})")
         if len(self.provenance) != len(self.kept):
             raise ValueError("provenance must tag every kept expert")
-        valid = {PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE}
-        if any(tag not in valid for tag in self.provenance):
-            raise ValueError(f"provenance tags must be in {sorted(valid)}")
+        if any(tag not in PROVENANCE_TAGS for tag in self.provenance):
+            raise ValueError(f"provenance tags must be in {sorted(PROVENANCE_TAGS)}")
         if self.method in ("gvp", "mop"):
             m = self.params.get("m")
             n_general = self.provenance.count(PROVENANCE_GENERAL)
@@ -429,11 +427,13 @@ def load_plan(path: str | os.PathLike) -> PruningPlan:
     with tensor_store._naming(f"plan {path}.json"):
         doc = tensor_store._typed(json.loads(text), dict, "plan root")
         params = tensor_store._field(doc, "params", dict)
-        for key in ("n", "r", "m"):
+        for key in ("n", "r", "m", "K", "seed"):
             tensor_store._field(params, key, int, "params", optional=True)
         diagnostics: dict = {}
         diag_name = tensor_store._field(doc, "diagnostics_archive", str, optional=True)
         if diag_name:
+            if os.path.basename(diag_name) != diag_name:
+                raise ValueError(f"diagnostics_archive {diag_name!r} is not a bare file name")
             diag_path = os.path.join(os.path.dirname(path), diag_name)
             manifest, arrays = tensor_store.read_archive(diag_path, "plan_diagnostics")
             diagnostics.update(arrays)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +392,15 @@ def _first_array(**fields):
     return _json_edit(lambda doc: doc["arrays"][0].update(fields))
 
 
+def _metadata(**fields):
+    return _json_edit(lambda doc: doc["metadata"].update(fields))
+
+
+def _diagnostics_path(prefix):
+    # an absolute path to the plan's own diagnostics: readable, but not a bare name
+    _document(diagnostics_archive=os.path.abspath(prefix + ".diag"))(prefix)
+
+
 def _negative_source_domain(prefix):
     manifest, arrays = read_archive(prefix)
     arrays["source_domain"][0] = -1
@@ -404,10 +414,20 @@ MALFORMED = {
     "shape_string": ("model", _first_array(shape="816"), "arrays[0].shape"),
     "format_version_string": ("model", _document(format_version="1"), "format_version"),
     "dtype_swapped": ("model", _first_array(dtype="i32"), "'router' is i32, expected f32"),
+    "n_experts_text": ("model", _metadata(n_experts="abc"), "n_experts"),
+    "n_experts_above_router": ("model", _metadata(n_experts="9"), "n_experts"),
+    "n_experts_huge": ("model", _metadata(n_experts="1000000"), "n_experts"),
     "params_scalar": ("plan", _document(params=1), "params"),
+    "params_seed_text": (
+        "plan", _json_edit(lambda doc: doc["params"].update(seed="1,2")), "params.seed"
+    ),
     "kept_float": ("plan", _document(kept=1e308), "kept"),
     "kept_out_of_range": ("plan", _document(kept=[0, 1, 2, 99]), "kept index out of range"),
     "diagnostics_archive_int": ("plan", _document(diagnostics_archive=5), "diagnostics_archive"),
+    "diagnostics_archive_absolute": ("plan", _diagnostics_path, "diagnostics_archive"),
+    "diagnostics_archive_parent": (
+        "plan", _document(diagnostics_archive="../plan.diag"), "diagnostics_archive"
+    ),
     "source_domain_negative": ("heldout", _negative_source_domain, "source_domain"),
 }
 
@@ -500,8 +520,8 @@ def test_pipeline_determinism(pipeline, tmp_path):
     run(["gen-model", "--config", config, "--out", redo_model])
     run(["gen-calib", "--config", config, "--model", redo_model, "--out", redo_calib])
     for a, b in ((model, redo_model), (calib, redo_calib)):
-        assert open(a + ".bin", "rb").read() == open(b + ".bin", "rb").read()
-        assert open(a + ".json", "rb").read() == open(b + ".json", "rb").read()
+        for suffix in (".bin", ".json"):
+            assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
     plans, diags = [], []
     for run_dir in ("runA", "runB"):
@@ -509,7 +529,7 @@ def test_pipeline_determinism(pipeline, tmp_path):
         run(["prune", "--model", model, "--cache", calib,
              "--method", "mop", "--r", "4", "--m", "1",
              "--kmeans-seed", "9", "--out", plan_path])
-        plans.append(open(plan_path + ".json", "rb").read())
-        diags.append(open(plan_path + ".diag.bin", "rb").read())
+        plans.append(Path(plan_path + ".json").read_bytes())
+        diags.append(Path(plan_path + ".diag.bin").read_bytes())
     assert plans[0] == plans[1]
     assert diags[0] == diags[1]

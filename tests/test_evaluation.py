@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moe_prune import (
     CalibrationCache,
@@ -18,6 +21,7 @@ from moe_prune import (
 )
 from moe_prune import evaluation
 from moe_prune.evaluation import report_to_csv
+from moe_prune.moe_sim import _pruned_forward, cache_from_inputs
 from moe_prune.prune import PruningPlan
 
 from conftest import (
@@ -85,6 +89,57 @@ def test_worst_domain_is_max(planted_fixture):
     assert list(report.domain_token_counts) == [64, 64, 64]
 
 
+def old_evaluate(layer, kept, heldout):
+    """evaluate_plan's loss and heatmap formulas before it shared the metrics
+    kernels: per-token errors of a float64 difference, and per-domain sums,
+    counts and heatmap rows from `source == d` masks."""
+    pred, weights = _pruned_forward(layer, kept, heldout.inputs)
+    diff = pred.astype(np.float64) - heldout.outputs_full.astype(np.float64)
+    per_token = (diff * diff).sum(axis=1)
+    source = heldout.source_domain
+    n_domains = int(source.max()) + 1
+    counts = np.bincount(source, minlength=n_domains)
+    if np.any(counts == 0):
+        raise ValueError("held-out cache has an empty source domain")
+    per_domain = np.array(
+        [per_token[source == d].sum() for d in range(n_domains)], dtype=np.float64
+    )
+    weights = weights.astype(np.float64)
+    heatmap = np.stack([weights[source == d].mean(axis=0) for d in range(n_domains)])
+    return float(per_token.sum()), per_domain, counts, heatmap
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 40), st.integers(1, 5),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.booleans())
+def test_evaluate_plan_matches_old_formulas(seed, n, n_tokens, n_domains, scale, skip_id):
+    rng = np.random.default_rng(seed)
+    layer = make_random_layer(rng, n=n, hidden=5, ff=7, top_k=int(rng.integers(1, n + 1)))
+    inputs = (rng.standard_normal((n_tokens, 5)) * scale).astype(np.float32)
+    n_domains = min(n_domains, n_tokens)
+    source = rng.integers(0, n_domains, n_tokens)
+    source[rng.permutation(n_tokens)[:n_domains]] = np.arange(n_domains)  # none empty
+    if skip_id:
+        source[source >= n_domains - 1] += 1  # no token of domain n_domains - 1
+    heldout = cache_from_inputs(layer, inputs, source_domain=source)
+    r = int(rng.integers(1, n + 1))
+    kept = sorted(rng.choice(n, size=r, replace=False).tolist())
+    plan = PruningPlan("random", kept, ["baseline"] * r, {"n": n, "r": r})
+    if skip_id:
+        for evaluate in (lambda: evaluate_plan(layer, plan, heldout),
+                         lambda: old_evaluate(layer, kept, heldout)):
+            with pytest.raises(ValueError, match="no tokens|empty source domain"):
+                evaluate()
+        return
+    report = evaluate_plan(layer, plan, heldout)
+    overall, per_domain, counts, heatmap = old_evaluate(layer, kept, heldout)
+    assert np.float64(report.overall_loss).tobytes() == np.float64(overall).tobytes()
+    assert report.per_domain_loss.tobytes() == per_domain.tobytes()
+    assert report.worst_domain_loss == per_domain.max()
+    assert report.domain_token_counts.tobytes() == counts.tobytes()
+    assert report.heatmap.tobytes() == heatmap.tobytes()
+
+
 def test_report_token_order_invariance(planted_fixture):
     spec, layer, calib, heldout = planted_fixture
     plan = prune_gvp(calib, layer, r=4, m=1)
@@ -145,6 +200,15 @@ def test_compare_identical_configs_identical_rows(planted_fixture):
         assert a[key] == b[key]
 
 
+def test_compare_configs_are_prune_keywords(planted_fixture):
+    spec, layer, calib, heldout = planted_fixture
+    with pytest.raises(TypeError, match="kmeans_sed"):
+        compare_methods(layer, calib, heldout, [{"method": "mop", "r": 4, "kmeans_sed": 1}])
+    # C(8, 4) = 70 subsets exceed a budget of 5, so enum runs greedy
+    (row,) = compare_methods(layer, calib, heldout, [{"method": "enum", "r": 4, "budget": 5}])
+    assert row["method"] == "enum_greedy"
+
+
 def test_compare_rejects_empty(planted_fixture):
     spec, layer, calib, heldout = planted_fixture
     with pytest.raises(ValueError, match="nonempty"):
@@ -184,11 +248,9 @@ def test_heatmap_csv_shape_and_determinism(tmp_path, planted_fixture):
     values = [float(x) for x in lines[1].split(",")[1:]]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert sum(values) == pytest.approx(1.0, abs=5e-6)  # 6-decimal rounding
-    first = [p for p in written]
-    contents = [open(p, "rb").read() for p in first]
+    contents = [Path(p).read_bytes() for p in written]
     export_heatmap_csv(report, tmp_path / "hm")
-    again = [open(p, "rb").read() for p in first]
-    assert contents == again
+    assert [Path(p).read_bytes() for p in written] == contents
 
 
 def test_heatmap_columns_follow_expert_order(tmp_path):
