@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
+from .moe_sim import CalibrationCache, MoELayer, _combine, _route_batch, _sorted_kept
 
 
 @dataclass
@@ -64,13 +64,24 @@ def _sq_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return diff
 
 
+# logits routed per `_route_batch` call of a search, B*N*s: large enough that
+# the per-call cost of the routing kernel's numpy calls fades, small enough
+# that its temporaries add little to peak memory
+_BATCH_LOGITS = 1 << 13
+
+
 class _LossScorer:
     """Reconstruction losses of many kept sets over one cache.
 
-    The cache and the layer are checked once, when the scorer is made; each
-    kept set is checked per call (nonempty, unique, in range) in plain
-    Python by the pruned-layer forward, which checks nothing else. Router
-    logits are still taken per kept set, but an expert's output does not
+    The cache and the layer are checked once, when the scorer is made. A
+    search hands `losses` one block of kept sets at a time (the subsets
+    that share a first element, or one greedy step's candidates), which
+    are routed in batches of at most `_BATCH_LOGITS` logits by one
+    `_route_batch` call each, so no batch spans two blocks. A set's
+    logits come from the same BLAS call whatever else is in its batch, so
+    its weights, and so its loss, keep their bits. `loss` checks one kept
+    set (nonempty, unique, in range) in plain Python and scores it as a
+    batch of one. An expert's output does not
     depend on the set, so each one is computed on first use and reused until
     release(e). A search releases an expert once no later subset keeps it,
     which bounds how many outputs stay alive. `on_output(e, output)`, if
@@ -99,8 +110,29 @@ class _LossScorer:
         return out
 
     def loss(self, kept: Iterable[int]) -> float:
-        pred, _ = _pruned_forward(self._layer, kept, self._cache.inputs, self._output)
-        return float(_sq_error(pred, self._target).sum())
+        idx = _sorted_kept(kept, self._layer.n_experts)
+        return float(self.losses(np.array([idx], dtype=np.intp))[0])
+
+    def losses(self, subsets: np.ndarray) -> np.ndarray:
+        """The loss of each kept set `subsets` [M, s] holds, in row order.
+
+        Each row must be ascending, unique and in range; nothing is checked.
+        """
+        per_batch = max(1, _BATCH_LOGITS // (self._cache.n_tokens * subsets.shape[1]))
+        out = np.empty(len(subsets), dtype=np.float64)
+        for start in range(0, len(subsets), per_batch):
+            batch = subsets[start : start + per_batch]
+            out[start : start + len(batch)] = self._batch_losses(batch)
+        return out
+
+    def _batch_losses(self, batch: np.ndarray) -> list[float]:
+        # one routing call; then each set's output is added up, scored and
+        # dropped before the next one's, and the weights die on return
+        weights = _route_batch(self._layer, batch, self._cache.inputs)
+        return [
+            _sq_error(_combine(self._layer, w, idx, self._output), self._target).sum()
+            for w, idx in zip(weights, batch.tolist())
+        ]
 
     def release(self, e: int) -> None:
         self._outputs.pop(e, None)

@@ -332,29 +332,34 @@ def _sorted_kept(kept: Iterable[int], n_experts: int) -> list[int]:
     return idx
 
 
-def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarray:
-    """Routing weights [N, |kept|] of the kept experts `idx` for `inputs`.
+def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Routing weights [B, s, N] of B kept sets `idx` [B, s] for `inputs`.
 
-    `idx` must be ascending, unique and in range, and `inputs` a checked
-    f32 [N, hidden_dim] array; nothing is checked here. The logits are the
-    product of the inputs with the kept router rows, and the top-k order a
-    stable argsort of each token's logits, as in the token-major formula.
-    Everything after the argsort runs rank-major on [k, N] arrays gathered
-    and scattered through flat indices: reductions over a long axis are far
-    cheaper in numpy than over a length-k one, and give the same values.
-    The result is a transposed view of [|kept|, N] storage.
+    Each row of `idx` must be ascending, unique and in range, and `inputs` a
+    checked f32 [N, hidden_dim] array; nothing is checked here. Set b's
+    logits are the product of the inputs with its kept router rows, taken
+    for all B sets by one `np.matmul`: the gufunc makes, for each set, the
+    BLAS call the 2-D product makes (same shape, same transpose flags, all
+    N rows), so every set's logits keep their bits whatever B is. The top-k
+    order is a stable argsort of each token's logits, as in the token-major
+    formula. Everything after the argsort runs rank-major on [k, B*N]
+    arrays gathered and scattered through flat indices: reductions over a
+    long axis are far cheaper in numpy than over a length-k one, and give
+    the same values. Every step is per token, so a set's weights do not
+    depend on the other sets in the batch.
     """
-    logits = inputs @ layer.router[idx].T
-    n_rows, s = logits.shape
+    logits = np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))  # [B, N, s]
+    n_sets, n_rows, s = logits.shape
     k_sel = min(layer.top_k, s)
     # stable sort on -logits: same order as restricted-softmax probabilities,
     # ties resolve to the lower column = lower expert index
-    order = np.argsort(-logits, axis=1, kind="stable")[:, :k_sel].T.copy()  # [k, N]
-    tokens = np.arange(n_rows)
+    order = np.argsort(-logits.reshape(-1, s), axis=1, kind="stable")[:, :k_sel].T.copy()  # [k, B*N]
+    tokens = np.arange(n_sets * n_rows)  # token u = b*N + t is token t of set b
     # renormalized top-k probabilities == softmax over just the selected
     # logits; computing it that way keeps the weights independent of the
     # non-selected experts down to the last bit
     top = np.take(logits, order + tokens * s)
+    del logits
     top -= top.max(axis=0)
     np.exp(top, out=top)
     # each token's sum must add its k values as a sum along a contiguous axis
@@ -364,32 +369,46 @@ def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarra
         top /= top.sum(axis=0)
     else:
         top /= np.ascontiguousarray(top.T).sum(axis=1)
-    weights = np.zeros(s * n_rows, dtype=np.float32)
+    # column c of token u goes to weights[b, c, t], flat c*N + u + b*(s-1)*N;
+    # the last term is 0 for a single set
+    if n_sets > 1:
+        tokens += (tokens // n_rows) * ((s - 1) * n_rows)
+    weights = np.zeros(n_sets * s * n_rows, dtype=np.float32)
     weights[order * n_rows + tokens] = top
-    return weights.reshape(s, n_rows).T
+    return weights.reshape(n_sets, s, n_rows)
+
+
+def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarray:
+    """Routing weights [N, |kept|] of the kept experts `idx` for `inputs`:
+    `_route_batch` for one set, as a transposed view of [|kept|, N] storage."""
+    return _route_batch(layer, np.array([idx], dtype=np.intp), inputs)[0].T
+
+
+def _combine(
+    layer: MoELayer, weights: np.ndarray, idx: Sequence[int], output: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Outputs [N, hidden_dim] of one kept set: the sum of each weight row of
+    `weights` [|kept|, N] times `output(e)`, expert e's output on the rows,
+    added over the kept experts `idx` in ascending order, which makes every
+    caller's result bit-identical."""
+    out = np.zeros((weights.shape[1], layer.hidden_dim), dtype=np.float32)
+    for row, e in zip(weights, idx):
+        out += row[:, None] * output(e)
+    return out
 
 
 def _pruned_forward(
-    layer: MoELayer,
-    kept: Iterable[int],
-    inputs: np.ndarray,
-    output: Callable[[int], np.ndarray] | None = None,
+    layer: MoELayer, kept: Iterable[int], inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outputs [N, hidden_dim] and routing weights [N, |kept|] of the layer pruned to `kept`.
 
-    Checks `kept`; `inputs` must be a checked f32 [N, hidden_dim] array. The
-    output adds each weight column times `output(e)`, expert e's output on
-    the rows, over the kept experts in ascending order, which makes every
-    caller's result bit-identical. By default each expert is applied when
-    its turn comes, so only one output is alive at a time.
+    Checks `kept`; `inputs` must be a checked f32 [N, hidden_dim] array. Each
+    expert is applied when its turn comes in `_combine`, so only one output
+    is alive at a time.
     """
     idx = _sorted_kept(kept, layer.n_experts)
     weights = _route(layer, idx, inputs)
-    if output is None:
-        output = lambda e: layer.experts[e].apply(inputs)
-    out = np.zeros((inputs.shape[0], layer.hidden_dim), dtype=np.float32)
-    for column, e in zip(weights.T, idx):
-        out += column[:, None] * output(e)
+    out = _combine(layer, weights.T, idx, lambda e: layer.experts[e].apply(inputs))
     return out, weights
 
 

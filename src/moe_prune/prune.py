@@ -148,27 +148,29 @@ def _search_exhaustive(
             f"C({n}, {size}) = {n_subsets} subsets exceeds the budget of {budget}; "
             "use the greedy mode"
         )
-    best_subset: tuple[int, ...] | None = None
-    best_loss = math.inf
-    subsets = np.empty((n_subsets, size), dtype=np.int32)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+        dtype=np.int32, count=n_subsets * size,
+    ).reshape(n_subsets, size)
     losses = np.empty(n_subsets, dtype=np.float64)
+    best_row = -1
+    best_loss = math.inf
     row = 0
-    # lexicographic order, one block per first element; no later subset keeps
-    # that element, so its output is released after its block
+    # lexicographic order, one block per first element, scored in one call so
+    # that no batch spans two blocks; no later subset keeps that element, so
+    # its output is released after its block
     for first in range(n - size + 1):
-        for rest in itertools.combinations(range(first + 1, n), size - 1):
-            subset = (first,) + rest
-            loss = scorer.loss(subset)
-            subsets[row] = subset
-            losses[row] = loss
-            row += 1
+        end = row + math.comb(n - 1 - first, size - 1)
+        losses[row:end] = scorer.losses(subsets[row:end])
+        for i, loss in enumerate(losses[row:end].tolist(), row):
             if loss < best_loss:  # strict: ties keep the lexicographically first subset
                 best_loss = loss
-                best_subset = subset
+                best_row = i
+        row = end
         scorer.release(first)
-    assert best_subset is not None
+    assert best_row >= 0
     diag = {"subsets": subsets, "losses": losses, "best_loss": best_loss}
-    return list(best_subset), best_loss, diag
+    return subsets[best_row].tolist(), best_loss, diag
 
 
 def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], float, dict]:
@@ -176,11 +178,13 @@ def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], f
     removed: list[int] = []
     step_losses: list[float] = []
     while len(current) > size:
+        # row j drops current[j]: all of a step's candidates scored in one call
+        m = len(current)
+        candidates = np.tile(current, (m, 1))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
         best_i = -1
         best_loss = math.inf
-        for i in current:  # ascending, so loss ties remove the lower index
-            loss = scorer.loss([j for j in current if j != i])
-            if loss < best_loss:
+        for i, loss in zip(current, scorer.losses(candidates).tolist()):
+            if loss < best_loss:  # ascending, so loss ties remove the lower index
                 best_loss = loss
                 best_i = i
         current.remove(best_i)
@@ -435,7 +439,10 @@ def load_plan(path: str | os.PathLike) -> PruningPlan:
             if os.path.basename(diag_name) != diag_name:
                 raise ValueError(f"diagnostics_archive {diag_name!r} is not a bare file name")
             diag_path = os.path.join(os.path.dirname(path), diag_name)
-            manifest, arrays = tensor_store.read_archive(diag_path, "plan_diagnostics")
+            try:
+                manifest, arrays = tensor_store.read_archive(diag_path, "plan_diagnostics")
+            except FileNotFoundError as exc:
+                raise ValueError(f"diagnostics_archive {diag_name!r}: {exc}") from exc
             diagnostics.update(arrays)
             for key, value in manifest.metadata.items():
                 if key != "kind" and key not in diagnostics:

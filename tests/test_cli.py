@@ -428,6 +428,9 @@ MALFORMED = {
     "diagnostics_archive_parent": (
         "plan", _document(diagnostics_archive="../plan.diag"), "diagnostics_archive"
     ),
+    "diagnostics_archive_missing": (
+        "plan", _document(diagnostics_archive="missing"), "diagnostics_archive"
+    ),
     "source_domain_negative": ("heldout", _negative_source_domain, "source_domain"),
 }
 

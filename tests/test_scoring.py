@@ -1,14 +1,16 @@
 """Differential tests of the subset-scoring path.
 
-The routing kernel, the pruned-layer forward, the per-search loss scorer
-and the two subset searches are compared bit for bit with the per-subset
-formula they replaced, which routes token-major and applies every kept
-expert anew for every kept set, also on layers whose logits tie exactly.
-That formula lives only here, as the oracle.
+The batched routing kernel (set by set), the pruned-layer forward, the
+per-search loss scorer and the two subset searches (at the default batch
+size, one set per batch and unlimited batches) are compared bit for bit
+with the per-subset formula they replaced, which routes token-major and
+applies every kept expert anew for every kept set, also on layers whose
+logits tie exactly. That formula lives only here, as the oracle.
 """
 
 import collections
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -26,9 +28,9 @@ from moe_prune import (
     prune_mop,
     reconstruction_loss,
 )
-from moe_prune import moe_sim
+from moe_prune import metrics, moe_sim
 from moe_prune.metrics import _LossScorer
-from moe_prune.moe_sim import _pruned_forward, _route, _sorted_kept, forward_subset_batch
+from moe_prune.moe_sim import _combine, _route, _route_batch, _sorted_kept, forward_subset_batch
 
 from conftest import make_random_cache, make_random_layer
 
@@ -73,8 +75,8 @@ def oracle_greedy(cache, layer, size):
 
 
 @st.composite
-def layers_and_caches(draw, max_n=8, max_tokens=200):
-    n = draw(st.integers(1, max_n))
+def layers_and_caches(draw, max_n=8, max_tokens=200, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     top_k = draw(st.integers(1, n))
     hidden = draw(st.integers(1, 8))
     ff = draw(st.integers(1, 12))
@@ -118,7 +120,8 @@ def test_combine_kernel_matches_per_subset_formula(layer_cache, data):
     for kept in data.draw(kept_sets(n)) + [{0}, set(range(min(n, 2))), set(range(n))]:
         want = oracle_forward(layer, kept, x)
         assert np.array_equal(forward_subset_batch(layer, kept, x), want)
-        assert np.array_equal(_pruned_forward(layer, kept, x, outputs.__getitem__)[0], want)
+        idx = _sorted_kept(kept, n)
+        assert np.array_equal(_combine(layer, _route(layer, idx, x).T, idx, outputs.__getitem__), want)
     assert np.array_equal(cache.outputs_full, oracle_forward(layer, range(n), cache.inputs))
 
 
@@ -157,13 +160,14 @@ def test_greedy_search_matches_oracle_loop(layer_cache, data):
 
 
 @st.composite
-def tied_layers_and_caches(draw, max_unique=4, max_copies=3, max_tokens=64):
+def tied_layers_and_caches(draw, max_unique=4, max_copies=3, max_tokens=64, min_n=1):
     """Layers whose experts come in exact copies (router row and weights),
     placed at random indices, so copies' logits and outputs tie exactly.
     With integer router rows and inputs every logit is an exact integer,
     so distinct experts tie often too. top_k is n half the time, making
     top_k >= |kept| for every kept set."""
     copies = draw(st.lists(st.integers(1, max_copies), min_size=1, max_size=max_unique))
+    copies[0] += max(0, min_n - sum(copies))
     n = sum(copies)
     top_k = draw(st.one_of(st.just(n), st.integers(1, n)))
     hidden = draw(st.integers(1, 6))
@@ -214,6 +218,85 @@ def test_tied_searches_match_oracle_loop(layer_cache, data):
     r = data.draw(st.integers(1, layer.n_experts))
     check_exhaustive_search(cache, layer, r)
     check_greedy_search(cache, layer, r)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_route_batch_matches_per_subset_formula_set_by_set(data):
+    """Every set of a batch gets the weights the per-subset formula gives it
+    alone, through the one-column product (s = 1) and the pairwise sum over
+    8 or more selected logits (k >= 8), also on layers whose logits tie."""
+    branch = data.draw(st.sampled_from(["one_column", "pairwise", "any"]))
+    min_n = 8 if branch == "pairwise" else 1
+    if data.draw(st.booleans()):
+        layer, cache = data.draw(tied_layers_and_caches(min_n=min_n))
+    else:
+        layer, cache = data.draw(layers_and_caches(max_n=12, max_tokens=64, min_n=min_n))
+    n = layer.n_experts
+    if branch == "pairwise":
+        top_k, s = data.draw(st.integers(8, n)), data.draw(st.integers(8, n))
+    else:
+        top_k = data.draw(st.integers(1, n))
+        s = 1 if branch == "one_column" else data.draw(st.integers(1, n))
+    layer = MoELayer(router=layer.router, experts=layer.experts, top_k=top_k)
+    n_sets = data.draw(st.integers(1, 6))
+    rows = [sorted(data.draw(st.permutations(range(n)))[:s]) for _ in range(n_sets)]
+    dtype = data.draw(st.sampled_from([np.int32, np.intp]))
+    weights = _route_batch(layer, np.array(rows, dtype=dtype), cache.inputs)
+    assert weights.shape == (n_sets, s, cache.n_tokens)
+    for got, kept in zip(weights, rows):
+        want, _ = oracle_weights(layer, kept, cache.inputs)
+        assert np.array_equal(got, want.T)
+
+
+@pytest.mark.parametrize("budget", [1, 2**62], ids=["one_set_per_batch", "unlimited"])
+@settings(deadline=None, max_examples=25)
+@given(
+    layer_cache=st.one_of(
+        layers_and_caches(max_n=7, max_tokens=64),
+        tied_layers_and_caches(max_unique=3, max_copies=2, max_tokens=32),
+    ),
+    data=st.data(),
+)
+def test_searches_match_oracle_loops_at_any_batch_size(budget, layer_cache, data):
+    layer, cache = layer_cache
+    r = data.draw(st.integers(1, layer.n_experts))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BATCH_LOGITS", budget)
+        check_exhaustive_search(cache, layer, r)
+        check_greedy_search(cache, layer, r)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_searches_route_once_per_batch(rng, monkeypatch, mode):
+    """A search routes a whole batch of kept sets per `_route_batch` call,
+    never one call per subset."""
+    layer = make_random_layer(rng, n=8)
+    cache = make_random_cache(rng, layer)
+    shapes = []
+    route_batch = moe_sim._route_batch
+
+    def counting(layer, idx, inputs):
+        shapes.append(idx.shape)
+        return route_batch(layer, idx, inputs)
+
+    monkeypatch.setattr(moe_sim, "_route_batch", counting)
+    monkeypatch.setattr(metrics, "_route_batch", counting)
+    plan = prune_enum(cache, layer, 4, mode=mode)
+
+    def batches(n_sets, s):  # the calls that route n_sets kept sets of size s
+        per_batch = metrics._BATCH_LOGITS // (cache.n_tokens * s)
+        assert per_batch > 1
+        return [(min(per_batch, n_sets - i), s) for i in range(0, n_sets, per_batch)]
+
+    if mode == "exhaustive":  # one block per first element: C(7 - first, 3) subsets
+        want = [call for first in range(5) for call in batches(math.comb(7 - first, 3), 4)]
+        scored = len(plan.diagnostics["losses"])
+    else:  # one step per removal, then the final set's loss
+        want = [call for m in range(8, 4, -1) for call in batches(m, m - 1)] + [(1, 4)]
+        scored = 8 + 7 + 6 + 5 + 1
+    assert shapes == want
+    assert len(shapes) < scored / 4
 
 
 def test_scorer_checks_once_per_search_and_kept_sets_per_call(rng, monkeypatch):
