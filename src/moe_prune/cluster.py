@@ -10,8 +10,7 @@ toward the lowest index so results are reproducible.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +19,12 @@ from .metrics import PerformanceMatrix
 
 @dataclass
 class DomainLabeling:
+    """One k-means run; `wcss` is computed once, from the returned labels and centroids."""
+
     labels: np.ndarray      # [N] in [0, k)
     centroids: np.ndarray   # [k, d]
     wcss: float
     iterations_run: int
-    wcss_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -260,23 +260,20 @@ def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) ->
     centroids = _kmeanspp_init(pts, k, rng, scratch)
     nearest = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
     labels = nearest[0]
-    history = [_wcss(pts, labels, centroids, scratch)]
     iterations_run = 0
     for _ in range(max_iters):
         iterations_run += 1
         previous, centroids = centroids, _group_means(pts, labels, k, scratch)
         nearest = _assign_with_repair(pts, sq_norms, norms, centroids, scratch, (previous, nearest))
         new_labels = nearest[0]
-        history.append(_wcss(pts, new_labels, centroids, scratch))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
     return DomainLabeling(
         labels=labels.astype(np.int32),
         centroids=centroids,
-        wcss=history[-1],  # the labels and centroids of the last update
+        wcss=_wcss(pts, labels, centroids, scratch),  # the labels and centroids of the last update
         iterations_run=iterations_run,
-        wcss_history=history,
     )
 
 
@@ -421,16 +418,19 @@ def ward_partition(
     # column are costed again, with the same formula and bits.
     order = sorted(range(c), key=ids.__getitem__)
     members = {p: [ids[i]] for p, i in enumerate(order)}
-    centroids = {p: perf.errors[i].astype(np.float64) for p, i in enumerate(order)}
+    centroids = perf.errors[order]  # row p: cluster p's mean performance vector
+    sizes = np.ones(c, dtype=np.int64)
 
-    def pair_cost(a: int, b: int) -> float:
-        na, nb = len(members[a]), len(members[b])
+    def pair_costs(a, b) -> np.ndarray:
+        # the pairs (a[i], b[i]), broadcast; a stacked vector-vector `np.matmul`
+        # runs numpy's dot kernel, `np.dot`'s, for each pair
         delta = centroids[a] - centroids[b]
-        return (na * nb / (na + nb)) * float(np.dot(delta, delta))
+        sq = np.matmul(delta[:, None, :], delta[:, :, None]).ravel()
+        return sizes[a] * sizes[b] / (sizes[a] + sizes[b]) * sq
 
     costs = np.full((c, c), np.inf)
-    for a, b in itertools.combinations(range(c), 2):
-        costs[a, b] = pair_cost(a, b)
+    first, second = np.triu_indices(c, 1)
+    costs[first, second] = pair_costs(first, second)
     trace: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
     while len(members) > target_groups:
         a, b = divmod(int(costs.argmin()), c)
@@ -442,12 +442,11 @@ def ward_partition(
         na, nb = len(members[a]), len(members[b])
         trace.append((tuple(members[a]), tuple(members[b]), cost))
         members[a] = sorted(members[a] + members.pop(b))
-        centroids[a] = (na * centroids[a] + nb * centroids.pop(b)) / (na + nb)
+        centroids[a] = (na * centroids[a] + nb * centroids[b]) / (na + nb)
+        sizes[a] = na + nb
         costs[b, :] = costs[:, b] = np.inf
-        for e in members:
-            if e != a:
-                pair = (min(a, e), max(a, e))
-                costs[pair] = pair_cost(*pair)
+        others = np.array([e for e in members if e != a], dtype=np.intp)
+        costs[np.minimum(others, a), np.maximum(others, a)] = pair_costs(a, others)
 
     groups = [members[p] for p in sorted(members)]
     return ExpertPartition(groups=groups, merge_trace=trace)

@@ -130,9 +130,16 @@ class _LossScorer:
         # dropped before the next one's, and the weights die on return
         weights = _route_batch(self._layer, batch, self._cache.inputs)
         return [
-            _sq_error(_combine(self._layer, w, idx, self._output), self._target).sum()
+            _sq_error(self._prediction(w, idx), self._target).sum()
             for w, idx in zip(weights, batch.tolist())
         ]
+
+    def _prediction(self, weights: np.ndarray, idx: list[int]) -> np.ndarray:
+        # one expert weighted exactly 1 everywhere: combining would add its output
+        # to zeros, turning at most a -0.0 into +0.0, a sign the square removes
+        if len(idx) == 1 and (weights == 1).all():
+            return self._output(idx[0])
+        return _combine(self._layer, weights, idx, self._output)
 
     def release(self, e: int) -> None:
         self._outputs.pop(e, None)

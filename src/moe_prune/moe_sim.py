@@ -346,10 +346,15 @@ def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.nda
     arrays gathered and scattered through flat indices: reductions over a
     long axis are far cheaper in numpy than over a length-k one, and give
     the same values. Every step is per token, so a set's weights do not
-    depend on the other sets in the batch.
+    depend on the other sets in the batch. With one kept expert (s = 1) the
+    weight is just exp(l - l) / exp(l - l): exactly 1 for a finite logit l,
+    NaN otherwise; there is nothing to sort, gather or scatter.
     """
     logits = np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))  # [B, N, s]
     n_sets, n_rows, s = logits.shape
+    if s == 1:
+        weights = np.exp(logits - logits)
+        return np.divide(weights, weights, out=weights).reshape(n_sets, 1, n_rows)
     k_sel = min(layer.top_k, s)
     # stable sort on -logits: same order as restricted-softmax probabilities,
     # ties resolve to the lower column = lower expert index

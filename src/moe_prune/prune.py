@@ -191,7 +191,8 @@ def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], f
         scorer.release(best_i)
         removed.append(best_i)
         step_losses.append(best_loss)
-    final_loss = scorer.loss(current)
+    # the last step scored `current`: a set's loss does not depend on its batch
+    final_loss = step_losses[-1] if step_losses else scorer.loss(current)
     diag = {
         "removed_order": np.asarray(removed, dtype=np.int32),
         "step_losses": np.asarray(step_losses, dtype=np.float64),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from unittest import mock
 
@@ -83,7 +84,9 @@ def test_kmeans_point_order_invariance(rng):
 def test_kmeans_wcss_non_increasing_and_consistent(rng):
     points = rng.standard_normal((60, 4))
     labeling = kmeans(points, 4, seed=2)
-    hist = labeling.wcss_history
+    # the same restart stopped after i = 1..T centroid updates
+    hist = [kmeans(points, 4, seed=2, max_iters=i).wcss for i in range(1, labeling.iterations_run + 1)]
+    assert len(hist) >= 2 and hist[-1] == labeling.wcss
     assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
     recomputed = ((points - labeling.centroids[labeling.labels]) ** 2).sum()
     assert labeling.wcss == pytest.approx(recomputed, rel=1e-4)
@@ -364,25 +367,23 @@ def oracle_wcss(points, labels, centroids):
 def oracle_kmeans(points, k, seed, max_iters, n_init, init=oracle_kmeanspp):
     """Seeded Lloyd restarts with the broadcast assignment and the direct
     formulas throughout, every point reassigned on every iteration: (labels,
-    centroids, wcss, iterations_run, wcss_history) of the lowest-WCSS restart."""
+    centroids, wcss, iterations_run) of the lowest-WCSS restart."""
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
         centroids = init(points, k, rng)
         labels = oracle_assign_with_repair(points, centroids)
-        history = [oracle_wcss(points, labels, centroids)]
         iterations = 0
         for _ in range(max_iters):
             iterations += 1
             centroids = oracle_group_means(points, labels, k)
             new_labels = oracle_assign_with_repair(points, centroids)
-            history.append(oracle_wcss(points, new_labels, centroids))
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
         wcss = oracle_wcss(points, labels, centroids)
         if best is None or wcss < best[2]:
-            best = (labels, centroids, wcss, iterations, history)
+            best = (labels, centroids, wcss, iterations)
     return best
 
 
@@ -483,10 +484,9 @@ def check_kmeans(points, k, seed, max_iters, n_init, start=None):
     if isinstance(want, str):
         assert got == want
         return
-    labels, centroids, wcss, iterations, history = want
+    labels, centroids, wcss, iterations = want
     assert got.labels.tobytes() == labels.astype(np.int32).tobytes()
     assert got.centroids.tobytes() == centroids.tobytes()
-    assert np.array(got.wcss_history).tobytes() == np.array(history).tobytes()
     assert got.iterations_run == iterations
     assert np.float64(got.wcss).tobytes() == np.float64(wcss).tobytes()
 
@@ -722,6 +722,68 @@ def test_ward_nan_cost_names_overflow():
         assert part.groups == [[2, 4], [7, 9]]
         with pytest.raises(ValueError, match="NaN: a merged centroid overflows float64"):
             ward_partition(perf, sim, 1)
+
+
+def per_pair_ward(perf, target_groups):
+    """Ward merging with one Python `np.dot` per pair cost, as `ward_partition`
+    costed pairs before its stacked product: (groups, merge trace), or the
+    message of the ValueError it raised."""
+    ids = [int(i) for i in perf.candidate_ids]
+    c = len(ids)
+    order = sorted(range(c), key=ids.__getitem__)
+    members = {p: [ids[i]] for p, i in enumerate(order)}
+    centroids = {p: perf.errors[i].astype(np.float64) for p, i in enumerate(order)}
+
+    def pair_cost(a, b):
+        na, nb = len(members[a]), len(members[b])
+        delta = centroids[a] - centroids[b]
+        return (na * nb / (na + nb)) * float(np.dot(delta, delta))
+
+    costs = np.full((c, c), np.inf)
+    for a, b in itertools.combinations(range(c), 2):
+        costs[a, b] = pair_cost(a, b)
+    trace = []
+    while len(members) > target_groups:
+        a, b = divmod(int(costs.argmin()), c)
+        cost = float(costs[a, b])
+        if np.isnan(cost):
+            return "ValueError: Ward merge cost is NaN: a merged centroid overflows float64"
+        if cost == np.inf:
+            a, b = sorted(members)[:2]
+        na, nb = len(members[a]), len(members[b])
+        trace.append((tuple(members[a]), tuple(members[b]), cost))
+        members[a] = sorted(members[a] + members.pop(b))
+        centroids[a] = (na * centroids[a] + nb * centroids.pop(b)) / (na + nb)
+        costs[b, :] = costs[:, b] = np.inf
+        for e in members:
+            if e != a:
+                pair = (min(a, e), max(a, e))
+                costs[pair] = pair_cost(*pair)
+    return [members[p] for p in sorted(members)], trace
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    performance_rows(max_c=20, domains=st.integers(1, 6) | st.integers(7, 48)) | overflowing_rows(),
+    st.data(),
+)
+def test_stacked_ward_costs_match_per_pair_dots(perf, data):
+    """Groups, merge-trace members and cost bits as the per-pair loop gives
+    them, with more than 16 domain columns too (where the dot kernel adds in
+    its own blocked order), exact and overflowed (+inf) cost ties included,
+    and the same error where a cost is NaN."""
+    c = perf.errors.shape[0]
+    target = data.draw(st.sampled_from([1, c]) | st.integers(1, c))
+    want = outcome(per_pair_ward, perf, target)
+    got = outcome(ward_partition, perf, similarity_matrix(perf), target)
+    if isinstance(want, str):
+        assert got == want
+        return
+    groups, trace = want
+    assert got.groups == groups
+    assert [(a, b, cost.hex()) for a, b, cost in got.merge_trace] == [
+        (a, b, cost.hex()) for a, b, cost in trace
+    ]
 
 
 # sha256 of a small mop plan's cluster-stage diagnostics as the direct

@@ -143,6 +143,7 @@ def check_greedy_search(cache, layer, r):
     assert plan.diagnostics["removed_order"].tolist() == removed
     assert plan.diagnostics["step_losses"].tolist() == step_losses
     assert plan.diagnostics["best_loss"] == final_loss
+    return plan
 
 
 @settings(deadline=None, max_examples=40)
@@ -267,6 +268,94 @@ def test_searches_match_oracle_loops_at_any_batch_size(budget, layer_cache, data
         check_greedy_search(cache, layer, r)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(
+        layers_and_caches(max_n=7, max_tokens=64),
+        tied_layers_and_caches(max_unique=3, max_copies=2, max_tokens=32),
+    ),
+    st.data(),
+)
+def test_greedy_best_loss_is_its_last_step_loss(layer_cache, data):
+    """The greedy search takes its final loss from its last step instead of
+    scoring the final set again: bit for bit that step's loss, and the loss
+    the oracle loop scores afresh. With r = n no step runs, and the full set
+    scores 0."""
+    layer, cache = layer_cache
+    r = data.draw(st.integers(1, layer.n_experts))
+    diag = check_greedy_search(cache, layer, r).diagnostics
+    if r == layer.n_experts:
+        assert diag["step_losses"].size == 0 and diag["best_loss"] == 0.0
+    else:
+        assert np.float64(diag["best_loss"]).tobytes() == diag["step_losses"][-1].tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_one_expert_scoring_matches_route_and_combine(data):
+    """A one-expert set skips the routing kernel's sort, gather and scatter
+    and the scorer's combine. Its weights and loss are still those of the
+    per-subset route-plus-combine formula, for expert copies whose logits
+    tie too; and where a router row scaled to the edge of float32 makes
+    some of its logits overflow (to +-inf, or NaN where those meet), the
+    loss is NaN on both paths."""
+    layer, cache = data.draw(st.one_of(layers_and_caches(max_tokens=64), tied_layers_and_caches()))
+    n = layer.n_experts
+    if data.draw(st.booleans()):
+        router = layer.router.copy()
+        row = router[data.draw(st.integers(0, n - 1))]
+        if np.abs(row).max() > 0:
+            row /= np.abs(row).max()
+            row *= data.draw(st.sampled_from([1e36, 3e38]))
+        layer = MoELayer(router=router, experts=layer.experts, top_k=layer.top_k)
+    singles = np.arange(n).reshape(n, 1)
+    with np.errstate(all="ignore"):
+        weights = _route_batch(layer, singles, cache.inputs)
+        losses = _LossScorer(cache, layer).losses(singles)
+        for e in range(n):
+            want_weights, _ = oracle_weights(layer, [e], cache.inputs)
+            assert np.array_equal(weights[e], want_weights.T, equal_nan=True)
+            want = oracle_loss(cache, layer, [e])
+            overflowed = not np.isfinite(cache.inputs @ layer.router[[e]].T).all()
+            for got in (losses[e], reconstruction_loss(cache, layer, [e])):
+                assert np.isnan(got) == np.isnan(want) == overflowed
+                if not overflowed:
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("prune", [
+    lambda cache, layer: prune_mop(cache, layer, 5, m=1, kmeans_seed=3),
+    lambda cache, layer: prune_gvp(cache, layer, 3, m=1),
+], ids=["mop", "gvp"])
+def test_one_expert_stage1_sorts_and_combines_nothing(rng, monkeypatch, prune):
+    """Stage 1 at m = 1 routes each expert alone, with no top-k argsort in
+    the routing kernel, and scores it without a combine."""
+    layer = make_random_layer(rng, n=8)
+    cache = make_random_cache(rng, layer)
+    calls = collections.Counter()
+
+    class CountingNumpy:  # numpy as moe_sim sees it, counting argsort calls
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argsort(self, *args, **kwargs):
+            calls["argsort"] += 1
+            return np.argsort(*args, **kwargs)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(moe_sim, "np", CountingNumpy())
+    monkeypatch.setattr(metrics, "_route_batch", counting("route", metrics._route_batch))
+    monkeypatch.setattr(metrics, "_combine", counting("combine", metrics._combine))
+    plan = prune(cache, layer)
+    assert plan.diagnostics["stage1_mode"] == "exhaustive"
+    assert calls == {"route": 8}
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
 def test_searches_route_once_per_batch(rng, monkeypatch, mode):
     """A search routes a whole batch of kept sets per `_route_batch` call,
@@ -292,9 +381,9 @@ def test_searches_route_once_per_batch(rng, monkeypatch, mode):
     if mode == "exhaustive":  # one block per first element: C(7 - first, 3) subsets
         want = [call for first in range(5) for call in batches(math.comb(7 - first, 3), 4)]
         scored = len(plan.diagnostics["losses"])
-    else:  # one step per removal, then the final set's loss
-        want = [call for m in range(8, 4, -1) for call in batches(m, m - 1)] + [(1, 4)]
-        scored = 8 + 7 + 6 + 5 + 1
+    else:  # one step per removal; the last step scored the final set
+        want = [call for m in range(8, 4, -1) for call in batches(m, m - 1)]
+        scored = 8 + 7 + 6 + 5
     assert shapes == want
     assert len(shapes) < scored / 4
 
