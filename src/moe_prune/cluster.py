@@ -195,14 +195,16 @@ def _assign_with_repair(
     centroids: np.ndarray,
     scratch: np.ndarray,
     moved: tuple[np.ndarray, _Bounds] | None = None,
-) -> _Bounds:
+) -> tuple[_Bounds, np.ndarray]:
     """Assign points (ties to the lowest centroid index); reseed empty clusters
     at the point farthest from its assigned centroid until none are empty.
 
-    Returns `_assign`'s labels and bounds at the final centroids; `moved`
+    Returns `_assign`'s labels and bounds at the final centroids, and a [k]
+    mask of the clusters whose centroid row was reseeded in place; `moved`
     goes to the first `_assign` call.
     """
     k = centroids.shape[0]
+    reseeded = np.zeros(k, dtype=bool)
     for _ in range(k + 1):
         nearest = _assign(points, sq_norms, norms, centroids, scratch, moved)
         moved = None
@@ -210,7 +212,8 @@ def _assign_with_repair(
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
-            return nearest
+            return nearest, reseeded
+        reseeded[empties] = True
         own_centroids = centroids[labels]
         own = _sq_dists_to(points, own_centroids, own_centroids)
         for j in empties:
@@ -221,7 +224,11 @@ def _assign_with_repair(
 
 
 def _group_means(
-    points: np.ndarray, labels: np.ndarray, k: int, scratch: np.ndarray
+    points: np.ndarray,
+    labels: np.ndarray,
+    k: int,
+    scratch: np.ndarray,
+    stale: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Each cluster's mean, bit for bit `points[labels == j].mean(axis=0)`.
 
@@ -230,16 +237,28 @@ def _group_means(
     `mean` does, and the sum is divided by the count, as `mean` divides it.
     The labels are sorted at the narrowest integer width, where numpy's stable
     sort is a radix sort.
+
+    `stale`, if given, is the previous centroids and a mask of the clusters
+    to recompute: those whose member set changed since, and those whose row
+    is not their mean (reseeded). Only their rows are gathered and reduced;
+    every other cluster has the same rows in the same order, so it keeps its
+    previous mean, which has the same bits.
     """
-    order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
-    np.take(points, order, axis=0, out=scratch, mode="clip")
-    counts = np.bincount(labels, minlength=k)
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    if stale is None:
+        centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+        changed = np.ones(k, dtype=bool)
+    else:
+        centroids, changed = stale[0].copy(), stale[1]
+    rows = np.flatnonzero(changed[labels])
+    order = rows[np.argsort(labels[rows].astype(np.min_scalar_type(k)), kind="stable")]
+    np.take(points, order, axis=0, out=scratch[: order.size], mode="clip")
+    redo = np.flatnonzero(changed)
+    counts = np.bincount(labels, minlength=k)[redo]
     start = 0
-    for row, count in zip(centroids, counts):
-        np.add.reduce(scratch[start : start + count], axis=0, out=row)
+    for j, count in zip(redo.tolist(), counts.tolist()):
+        np.add.reduce(scratch[start : start + count], axis=0, out=centroids[j])
         start += count
-    centroids /= counts[:, None]
+    centroids[redo] /= counts[:, None]
     return centroids
 
 
@@ -258,16 +277,24 @@ def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) ->
     norms = np.sqrt(sq_norms)
     scratch = np.empty_like(pts)
     centroids = _kmeanspp_init(pts, k, rng, scratch)
-    nearest = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
+    nearest, _ = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
     labels = nearest[0]
+    stale = None
     iterations_run = 0
     for _ in range(max_iters):
         iterations_run += 1
-        previous, centroids = centroids, _group_means(pts, labels, k, scratch)
-        nearest = _assign_with_repair(pts, sq_norms, norms, centroids, scratch, (previous, nearest))
+        previous, centroids = centroids, _group_means(pts, labels, k, scratch, stale)
+        nearest, changed = _assign_with_repair(
+            pts, sq_norms, norms, centroids, scratch, (previous, nearest)
+        )
         new_labels = nearest[0]
-        if np.array_equal(new_labels, labels):
+        relabeled = np.flatnonzero(new_labels != labels)
+        if relabeled.size == 0:
             break
+        # the next update recomputes the reseeded clusters and those a row left or joined
+        changed[labels[relabeled]] = True
+        changed[new_labels[relabeled]] = True
+        stale = (centroids, changed)
         labels = new_labels
     return DomainLabeling(
         labels=labels.astype(np.int32),

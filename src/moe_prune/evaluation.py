@@ -62,11 +62,11 @@ def evaluate_plan(
     if heldout.source_domain is None:
         raise ValueError("held-out cache lacks source_domain labels for per-domain stats")
 
-    masks, counts = _domains(heldout.source_domain, heldout.n_tokens)
+    domains = _domains(heldout.source_domain, heldout.n_tokens)
     pred, weights = _pruned_forward(layer, plan.kept, heldout.inputs)
-    per_token, per_domain = _domain_errors(pred, heldout.outputs_full, masks)
+    per_token, per_domain = _domain_errors(pred, heldout.outputs_full, domains)
     weights = weights.astype(np.float64)
-    heatmap = np.stack([weights[mask].mean(axis=0) for mask in masks])
+    heatmap = np.stack([weights[domains.order[span]].mean(axis=0) for span in domains.spans])
 
     return EvalReport(
         method=plan.method,
@@ -75,7 +75,7 @@ def evaluate_plan(
         overall_loss=float(per_token.sum()),
         per_domain_loss=per_domain,
         worst_domain_loss=float(per_domain.max()),
-        domain_token_counts=counts,
+        domain_token_counts=domains.sizes,
         n_tokens=heldout.n_tokens,
         coverage=_coverage(layer, plan.kept),
         heatmap=heatmap,

@@ -12,7 +12,7 @@ log2(n_tokens).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,8 +184,21 @@ def activation_frequency(cache: CalibrationCache, top_k: int) -> np.ndarray:
     return np.bincount(order.ravel(), minlength=n).astype(np.int64)
 
 
-def _domains(labels: np.ndarray, n_tokens: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each domain's token mask and token count, for per-token domain ids."""
+class _Domains(NamedTuple):
+    """The tokens of each domain: domain j's token indices, ascending, are
+    `order[spans[j]]`, and there are `sizes[j]` of them."""
+
+    order: np.ndarray   # [N] a stable argsort of the per-token domain ids
+    spans: list[slice]  # [K] each domain's slice of `order`
+    sizes: np.ndarray   # [K] token counts
+
+
+def _domains(labels: np.ndarray, n_tokens: int) -> _Domains:
+    """One token order for every per-domain sum, for per-token domain ids.
+
+    A domain's slice of `order` holds the tokens `labels == j` selects, in
+    the same order, so a sum over it keeps the masked sum's bits.
+    """
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be integer domain ids, got dtype {labels.dtype}")
@@ -197,24 +210,26 @@ def _domains(labels: np.ndarray, n_tokens: int) -> tuple[list[np.ndarray], np.nd
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise ValueError(f"domain {int(empty[0])} has no tokens")
-    return [labels == k for k in range(sizes.size)], sizes
+    # at the narrowest integer width numpy's stable sort is a radix sort
+    order = np.argsort(labels.astype(np.min_scalar_type(sizes.size)), kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    return _Domains(order, [slice(a, b) for a, b in zip([0] + ends, ends)], sizes)
 
 
 def _domain_errors(
-    pred: np.ndarray, target: np.ndarray, masks: list[np.ndarray]
+    pred: np.ndarray, target: np.ndarray, domains: _Domains
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each token's squared error of `pred` against `target`, and their sum
     over each domain's tokens, added in token order."""
     per_token = _sq_error(pred, target).sum(axis=1)
-    return per_token, np.array([np.add.reduce(per_token[mask]) for mask in masks])
+    grouped = per_token[domains.order]
+    return per_token, np.array([np.add.reduce(grouped[span]) for span in domains.spans])
 
 
-def _perf_row(
-    out: np.ndarray, outputs_full: np.ndarray, masks: list[np.ndarray], sizes: np.ndarray
-) -> np.ndarray:
+def _perf_row(out: np.ndarray, outputs_full: np.ndarray, domains: _Domains) -> np.ndarray:
     """One expert's mean squared error against the full layer per domain, from
     its output `out` on the cached inputs, as `.mean()` of the masked errors."""
-    return _domain_errors(out, outputs_full, masks)[1] / sizes
+    return _domain_errors(out, outputs_full, domains)[1] / domains.sizes
 
 
 def performance_matrix(
@@ -232,9 +247,9 @@ def performance_matrix(
         raise ValueError("candidate list contains duplicates")
     if np.any(ids < 0) or np.any(ids >= layer.n_experts):
         raise ValueError("candidate index out of range")
-    masks, sizes = _domains(labels, cache.n_tokens)
+    domains = _domains(labels, cache.n_tokens)
     errors = [
-        _perf_row(layer.experts[int(e)].apply(cache.inputs), cache.outputs_full, masks, sizes)
+        _perf_row(layer.experts[int(e)].apply(cache.inputs), cache.outputs_full, domains)
         for e in ids
     ]
-    return PerformanceMatrix(errors=np.array(errors), domain_sizes=sizes, candidate_ids=ids)
+    return PerformanceMatrix(errors=np.array(errors), domain_sizes=domains.sizes, candidate_ids=ids)

@@ -56,7 +56,8 @@ class ExpertTransform:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Expert output for a batch of rows, shape [N, hidden_dim]."""
-        hidden = np.maximum(x @ self.w_in.T, np.float32(0.0))
+        hidden = x @ self.w_in.T
+        np.maximum(hidden, np.float32(0.0), out=hidden)
         return hidden @ self.w_out.T
 
 

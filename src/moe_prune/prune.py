@@ -139,6 +139,14 @@ def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> Pruning
 # reconstruction-loss search
 
 
+def _no_finite_loss(size: int) -> ValueError:
+    # NaN and +inf never compare below the running best, which starts at +inf
+    return ValueError(
+        f"every candidate {size}-expert subset has a NaN or infinite reconstruction loss: "
+        "the router logits or expert outputs overflow float32"
+    )
+
+
 def _search_exhaustive(
     scorer: _LossScorer, n: int, size: int, budget: int
 ) -> tuple[list[int], float, dict]:
@@ -168,7 +176,8 @@ def _search_exhaustive(
                 best_row = i
         row = end
         scorer.release(first)
-    assert best_row >= 0
+    if best_row < 0:
+        raise _no_finite_loss(size)
     diag = {"subsets": subsets, "losses": losses, "best_loss": best_loss}
     return subsets[best_row].tolist(), best_loss, diag
 
@@ -187,6 +196,8 @@ def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], f
             if loss < best_loss:  # ascending, so loss ties remove the lower index
                 best_loss = loss
                 best_i = i
+        if best_i < 0:
+            raise _no_finite_loss(m - 1)
         current.remove(best_i)
         scorer.release(best_i)
         removed.append(best_i)
@@ -316,18 +327,20 @@ def prune_mop(
 
     # restarts guard against two k-means++ seeds landing in one planted domain
     labeling = kmeans(cache.inputs, n_groups, seed=kmeans_seed, max_iters=100, n_init=8)
-    masks, sizes = _domains(labeling.labels, cache.n_tokens)
+    domains = _domains(labeling.labels, cache.n_tokens)
     rows: dict[int, np.ndarray] = {}
 
     def record(e: int, out: np.ndarray) -> None:
-        rows[e] = _perf_row(out, cache.outputs_full, masks, sizes)
+        rows[e] = _perf_row(out, cache.outputs_full, domains)
 
     general, candidates, stage_diag = _select_general(cache, layer, m, budget, record)
     for e in candidates:
         if e not in rows:  # m = 0: no search applied it
             record(e, layer.experts[e].apply(cache.inputs))
     perf = PerformanceMatrix(
-        errors=np.array([rows[e] for e in candidates]), domain_sizes=sizes, candidate_ids=candidates
+        errors=np.array([rows[e] for e in candidates]),
+        domain_sizes=domains.sizes,
+        candidate_ids=candidates,
     )
     sim = similarity_matrix(perf)
     partition = ward_partition(perf, sim, n_groups)

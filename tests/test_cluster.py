@@ -323,8 +323,9 @@ def test_partition_invariants():
 # differential tests: the cluster kernels against the direct formulas, bit for bit
 
 
-def oracle_assign_with_repair(points, centroids):
-    """Every distance by the broadcast formula; repairs `centroids` in place."""
+def oracle_assign_with_repair(points, centroids, reseeded=None):
+    """Every distance by the broadcast formula; repairs `centroids` in place
+    and adds each cluster it reseeds to the set `reseeded`, if given."""
     k = centroids.shape[0]
     for _ in range(k + 1):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -338,6 +339,8 @@ def oracle_assign_with_repair(points, centroids):
             far = int(own.argmax())
             centroids[j] = points[far]
             own[far] = -1.0
+            if reseeded is not None:
+                reseeded.add(int(j))
     raise ValueError("could not repair empty clusters; k exceeds distinct points")
 
 
@@ -434,11 +437,13 @@ def check_assignment(points, centroids, shift=None):
     got = outcome(
         cluster._assign_with_repair, points, sq_norms, norms, got_centroids, scratch, moved
     )
-    want = outcome(oracle_assign_with_repair, points, want_centroids)
+    reseeded = set()
+    want = outcome(oracle_assign_with_repair, points, want_centroids, reseeded)
     if isinstance(want, str):
         assert got == want
     else:
-        assert got[0].dtype == want.dtype and np.array_equal(got[0], want)
+        assert got[0][0].dtype == want.dtype and np.array_equal(got[0][0], want)
+        assert np.flatnonzero(got[1]).tolist() == sorted(reseeded)
     assert got_centroids.tobytes() == want_centroids.tobytes()
 
 
@@ -587,6 +592,84 @@ def test_cluster_kernels_match_direct_formulas(points_labels, seed):
         assert got == want
     else:
         assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(labeled_points(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.02, 0.3]))
+def test_group_means_from_stale_means_match_direct_formula(points_labels, seed, move_share):
+    """An update from the previous centroids recomputes the clusters it is
+    told to and keeps the rest, bit for bit the direct formula. The repair
+    overwrites a reseeded cluster's row in place, so a reseeded cluster is
+    recomputed even when it ends with its old member set again."""
+    points, labels, k = points_labels
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    scratch = np.empty_like(points)
+    previous = cluster._group_means(points, labels, k, scratch)
+    new_labels = labels.copy()
+    moved = rng.random(n) < move_share
+    new_labels[moved] = rng.integers(0, k, int(moved.sum()))
+    if np.bincount(new_labels, minlength=k).min() == 0:
+        new_labels[rng.permutation(n)[:k]] = np.arange(k)
+    reseeded = rng.random(k) < 0.3
+    previous[reseeded] = points[rng.integers(0, n, int(reseeded.sum()))]  # seed points
+    changed = reseeded.copy()
+    relabeled = new_labels != labels
+    changed[labels[relabeled]] = True
+    changed[new_labels[relabeled]] = True
+    kept = previous.copy()
+    got = cluster._group_means(points, new_labels, k, scratch, (previous, changed))
+    assert got.tobytes() == oracle_group_means(points, new_labels, k).tobytes()
+    assert previous.tobytes() == kept.tobytes()  # the previous centroids are read, not written
+
+
+def test_late_lloyd_updates_reduce_only_touched_clusters(monkeypatch):
+    """After a restart's first centroid update, an update sums only the
+    clusters that a row left or joined since the last one. On these blobs
+    some late updates sum only one or two of the k clusters."""
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((8, 4)) * 3.0
+    points = centers[rng.integers(0, 8, 600)] + rng.standard_normal((600, 4))
+    restarts = []  # per restart: [labels an update reads, np.add.reduce calls it made]
+
+    class CountingAdd:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def reduce(self, *args, **kwargs):
+            restarts[-1][-1][1] += 1
+            return np.add.reduce(*args, **kwargs)
+
+    class CountingNumpy:  # numpy as cluster sees it
+        add = CountingAdd()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    lloyd, group_means = cluster._lloyd, cluster._group_means
+
+    def recording_lloyd(*args):
+        restarts.append([])
+        return lloyd(*args)
+
+    def recording_group_means(points, labels, k, *rest):
+        restarts[-1].append([labels.copy(), 0])
+        return group_means(points, labels, k, *rest)
+
+    monkeypatch.setattr(cluster, "np", CountingNumpy())
+    monkeypatch.setattr(cluster, "_lloyd", recording_lloyd)
+    monkeypatch.setattr(cluster, "_group_means", recording_group_means)
+    kmeans(points, 8, seed=0, max_iters=100, n_init=4)
+    late = []
+    for updates in restarts:
+        assert updates[0][1] == 8
+        for (before, _), (labels, reduced) in zip(updates, updates[1:]):
+            relabeled = before != labels
+            touched = set(before[relabeled].tolist()) | set(labels[relabeled].tolist())
+            assert reduced == len(touched)
+            late.append(reduced)
+    assert len(late) >= 8
+    assert min(late) <= 2 and sum(late) < 0.75 * 8 * len(late)
 
 
 def oracle_rho(u, v):

@@ -13,7 +13,7 @@ from moe_prune import (
     reconstruction_loss,
     variability_scores,
 )
-from moe_prune.metrics import PerformanceMatrix, _domains, _perf_row
+from moe_prune.metrics import PerformanceMatrix, _domain_errors, _domains, _perf_row
 from moe_prune.moe_sim import forward_subset_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
@@ -268,9 +268,47 @@ def test_perf_row_matches_masked_mean(seed, n_tokens, hidden, n_domains, scale):
     labels = labels.astype(rng.choice([np.int8, np.int32, np.int64]))
     per_token = ((out.astype(np.float64) - full.astype(np.float64)) ** 2).sum(axis=1)
     want = np.array([per_token[labels == k].mean() for k in range(int(labels.max()) + 1)])
-    masks, sizes = _domains(labels, n_tokens)
-    assert _perf_row(out, full, masks, sizes).tobytes() == want.tobytes()
-    assert list(sizes) == [int((labels == k).sum()) for k in range(want.size)]
+    domains = _domains(labels, n_tokens)
+    assert _perf_row(out, full, domains).tobytes() == want.tobytes()
+    assert list(domains.sizes) == [int((labels == k).sum()) for k in range(want.size)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 6), st.integers(1, 12),
+       st.sampled_from([1e-20, 1.0, 1e15]), st.booleans())
+def test_domain_slices_match_masks(seed, n_tokens, width, n_domains, scale, skip_id):
+    """Each domain's slice of the one token order holds the tokens its mask
+    selects, in the same order: the per-domain error sums and the heatmap
+    rows evaluate_plan takes from it equal the masked formulas bit for bit.
+    Labels that skip a domain id fail by naming it."""
+    rng = np.random.default_rng(seed)
+    pred = (rng.standard_normal((n_tokens, width)) * scale).astype(np.float32)
+    target = (rng.standard_normal((n_tokens, width)) * scale).astype(np.float32)
+    weights = rng.random((n_tokens, width))
+    n_domains = min(n_domains, n_tokens)
+    labels = rng.integers(0, n_domains, n_tokens)
+    labels[rng.permutation(n_tokens)[:n_domains]] = np.arange(n_domains)  # none empty
+    if skip_id:
+        missing = int(rng.integers(0, n_domains))
+        labels[labels >= missing] += 1
+    labels = labels.astype(rng.choice([np.int8, np.uint8, np.int32, np.int64]))
+    masks = [labels == k for k in range(int(labels.max()) + 1)]
+    if skip_id:
+        assert not masks[missing].any()
+        with pytest.raises(ValueError, match=f"domain {missing} has no tokens"):
+            _domains(labels, n_tokens)
+        return
+    domains = _domains(labels, n_tokens)
+    per_token = ((pred.astype(np.float64) - target.astype(np.float64)) ** 2).sum(axis=1)
+    got_per_token, got_sums = _domain_errors(pred, target, domains)
+    assert got_per_token.tobytes() == per_token.tobytes()
+    assert got_sums.tobytes() == np.array([per_token[m].sum() for m in masks]).tobytes()
+    assert domains.sizes.tobytes() == np.array([m.sum() for m in masks]).tobytes()
+    heatmap = np.stack([weights[domains.order[span]].mean(axis=0) for span in domains.spans])
+    want = np.stack([weights[m].mean(axis=0) for m in masks])
+    assert heatmap.tobytes() == want.tobytes()
+    for span, mask in zip(domains.spans, masks):
+        assert np.array_equal(domains.order[span], np.flatnonzero(mask))
 
 
 def test_perf_candidate_validation(rng):

@@ -478,3 +478,47 @@ def test_mop_applies_each_expert_once(rng, monkeypatch, m, budget, mode):
     candidates = plan.diagnostics["candidate_ids"]
     perf = performance_matrix(cache, layer, candidates, plan.diagnostics["labels"])
     assert perf.errors.tobytes() == plan.diagnostics["perf_errors"].tobytes()
+
+
+def overflowing_router(layer, rows):
+    """`layer` with each router row in `rows` scaled to a largest entry of
+    3e38, finite in float32: every logit of those experts overflows."""
+    router = layer.router.copy()
+    router[rows] /= np.abs(router[rows]).max(axis=1, keepdims=True)
+    router[rows] *= 3e38
+    return MoELayer(router=router, experts=layer.experts, top_k=layer.top_k)
+
+
+@pytest.mark.parametrize("search", [
+    lambda cache, layer: prune_enum(cache, layer, 2, mode="exhaustive"),
+    lambda cache, layer: prune_enum(cache, layer, 2, mode="greedy"),
+    lambda cache, layer: prune_gvp(cache, layer, 3, m=2),
+    lambda cache, layer: prune_gvp(cache, layer, 3, m=2, budget=1),
+    lambda cache, layer: prune_mop(cache, layer, 3, m=1),
+    lambda cache, layer: prune_mop(cache, layer, 3, m=2, budget=1),
+], ids=["exhaustive", "greedy", "gvp-exhaustive", "gvp-greedy", "mop-exhaustive", "mop-greedy"])
+def test_all_nan_search_fails_by_name(rng, search):
+    layer = make_random_layer(rng, n=4)
+    cache = make_random_cache(rng, layer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="NaN or infinite reconstruction loss"):
+            search(cache, overflowing_router(layer, [0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_finite_loss_wins_over_nan(rng, mode):
+    """Every subset that keeps expert 2 scores NaN; the best finite subset wins."""
+    layer = make_random_layer(rng, n=4)
+    cache = make_random_cache(rng, layer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = prune_enum(cache, overflowing_router(layer, [2]), 2, mode=mode)
+        want = prune_enum(cache, layer, 2, mode="exhaustive")
+    assert 2 not in plan.kept
+    assert math.isfinite(plan.diagnostics["best_loss"])
+    if mode == "exhaustive":
+        losses = plan.diagnostics["losses"]
+        assert plan.diagnostics["best_loss"] == np.nanmin(losses)
+        assert np.isnan(losses).sum() == 3  # the three pairs that keep expert 2
+        kept_2 = (plan.diagnostics["subsets"] == 2).any(axis=1)
+        assert np.array_equal(np.isnan(losses), kept_2)
+        assert np.array_equal(losses[~kept_2], want.diagnostics["losses"][~kept_2])
