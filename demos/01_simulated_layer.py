@@ -8,7 +8,7 @@ from domain d send almost all gate mass to domain-d specialists.
 import numpy as np
 
 from moe_prune import PlantedSpec, generate_calibration, generate_layer
-from moe_prune.moe_sim import forward_subset_batch, gate_batch
+from moe_prune.moe_sim import forward_subset_batch
 
 spec = PlantedSpec(
     n_domains=3,
@@ -33,7 +33,7 @@ for d in range(3):
     print(f"  domain {d}: {np.round(row, 3)}")
 
 x = cache.inputs[:1]  # a batch of one domain-0 token
-print(f"\none domain-0 token: gate = {np.round(gate_batch(layer, x)[0], 4)}")
+print(f"\none domain-0 token: gate = {np.round(cache.gate_probs[0], 4)}")
 print("full layer output (top-2 routed) first 4 dims:",
       np.round(forward_subset_batch(layer, range(8), x)[0, :4], 4))
 print("expert 0 alone (weight forced to 1) first 4 dims:",

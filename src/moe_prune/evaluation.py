@@ -34,7 +34,6 @@ class EvalReport:
     n_tokens: int
     coverage: float | None            # needs planted ground truth on the layer
     heatmap: np.ndarray               # [D, |kept|] mean deployed gate weights
-    seed: int | None = None
 
     def mean_domain_loss(self) -> float:
         return float(self.per_domain_loss.mean())
@@ -79,7 +78,6 @@ def evaluate_plan(
         n_tokens=heldout.n_tokens,
         coverage=_coverage(layer, plan.kept),
         heatmap=heatmap,
-        seed=plan.params.get("seed"),
     )
 
 

@@ -303,13 +303,9 @@ def cache_from_inputs(
 # forward passes
 
 
-def gate_batch(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
-    """Full softmax over all experts for each row of `inputs`, shape [N, n]."""
-    return _gate(layer, _as_f32("inputs", inputs, 2))
-
-
 def _gate(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
-    """gate_batch for a checked f32 [N, hidden_dim] array; nothing is checked here."""
+    """Full softmax over all experts, shape [N, n], for each row of `inputs`,
+    a checked f32 [N, hidden_dim] array; nothing is checked here."""
     logits = inputs @ layer.router.T
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
@@ -384,12 +380,6 @@ def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.nda
     return weights.reshape(n_sets, s, n_rows)
 
 
-def _route(layer: MoELayer, idx: Sequence[int], inputs: np.ndarray) -> np.ndarray:
-    """Routing weights [N, |kept|] of the kept experts `idx` for `inputs`:
-    `_route_batch` for one set, as a transposed view of [|kept|, N] storage."""
-    return _route_batch(layer, np.array([idx], dtype=np.intp), inputs)[0].T
-
-
 def _combine(
     layer: MoELayer, weights: np.ndarray, idx: Sequence[int], output: Callable[[int], np.ndarray]
 ) -> np.ndarray:
@@ -413,9 +403,9 @@ def _pruned_forward(
     is alive at a time.
     """
     idx = _sorted_kept(kept, layer.n_experts)
-    weights = _route(layer, idx, inputs)
-    out = _combine(layer, weights.T, idx, lambda e: layer.experts[e].apply(inputs))
-    return out, weights
+    weights = _route_batch(layer, np.array([idx], dtype=np.intp), inputs)[0]
+    out = _combine(layer, weights, idx, lambda e: layer.experts[e].apply(inputs))
+    return out, weights.T  # a view of [|kept|, N] storage: the heatmap's bits depend on it
 
 
 def forward_subset_batch(

@@ -26,6 +26,7 @@ from . import DEFAULT_SUBSET_BUDGET, METHODS, tensor_store
 from .cluster import kmeans, similarity_matrix, ward_partition
 from .metrics import (
     PerformanceMatrix,
+    VariabilityScores,
     _check_cache_layer,
     _domains,
     _LossScorer,
@@ -139,12 +140,16 @@ def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> Pruning
 # reconstruction-loss search
 
 
-def _no_finite_loss(size: int) -> ValueError:
-    # NaN and +inf never compare below the running best, which starts at +inf
-    return ValueError(
-        f"every candidate {size}-expert subset has a NaN or infinite reconstruction loss: "
-        "the router logits or expert outputs overflow float32"
-    )
+def _first_min(losses: np.ndarray, size: int) -> int:
+    """Index of the first smallest `size`-subset loss, NaN counting as +inf
+    (so ties go to the earliest candidate); a ValueError if none is finite."""
+    j = int(np.argmin(np.where(np.isnan(losses), np.inf, losses)))
+    if not losses[j] < math.inf:
+        raise ValueError(
+            f"every candidate {size}-expert subset has a NaN or infinite reconstruction loss: "
+            "the router logits or expert outputs overflow float32"
+        )
+    return j
 
 
 def _search_exhaustive(
@@ -161,8 +166,6 @@ def _search_exhaustive(
         dtype=np.int32, count=n_subsets * size,
     ).reshape(n_subsets, size)
     losses = np.empty(n_subsets, dtype=np.float64)
-    best_row = -1
-    best_loss = math.inf
     row = 0
     # lexicographic order, one block per first element, scored in one call so
     # that no batch spans two blocks; no later subset keeps that element, so
@@ -170,14 +173,10 @@ def _search_exhaustive(
     for first in range(n - size + 1):
         end = row + math.comb(n - 1 - first, size - 1)
         losses[row:end] = scorer.losses(subsets[row:end])
-        for i, loss in enumerate(losses[row:end].tolist(), row):
-            if loss < best_loss:  # strict: ties keep the lexicographically first subset
-                best_loss = loss
-                best_row = i
         row = end
         scorer.release(first)
-    if best_row < 0:
-        raise _no_finite_loss(size)
+    best_row = _first_min(losses, size)  # ties keep the lexicographically first subset
+    best_loss = float(losses[best_row])
     diag = {"subsets": subsets, "losses": losses, "best_loss": best_loss}
     return subsets[best_row].tolist(), best_loss, diag
 
@@ -190,18 +189,12 @@ def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], f
         # row j drops current[j]: all of a step's candidates scored in one call
         m = len(current)
         candidates = np.tile(current, (m, 1))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-        best_i = -1
-        best_loss = math.inf
-        for i, loss in zip(current, scorer.losses(candidates).tolist()):
-            if loss < best_loss:  # ascending, so loss ties remove the lower index
-                best_loss = loss
-                best_i = i
-        if best_i < 0:
-            raise _no_finite_loss(m - 1)
-        current.remove(best_i)
+        losses = scorer.losses(candidates)
+        j = _first_min(losses, m - 1)  # ascending, so loss ties remove the lower index
+        best_i = current.pop(j)
         scorer.release(best_i)
         removed.append(best_i)
-        step_losses.append(best_loss)
+        step_losses.append(float(losses[j]))
     # the last step scored `current`: a set's loss does not depend on its batch
     final_loss = step_losses[-1] if step_losses else scorer.loss(current)
     diag = {
@@ -280,6 +273,20 @@ def _select_general(
     return sorted(core), candidates, {"stage1_mode": mode, "stage1_loss": loss}
 
 
+def _core_plan(
+    method: str, general: list[int], diversity: list[int], params: dict,
+    scores: VariabilityScores, diag: dict,
+) -> PruningPlan:
+    """The gvp or mop plan: the general core, then the diversity experts."""
+    return PruningPlan(
+        method,
+        general + diversity,
+        [PROVENANCE_GENERAL] * len(general) + [PROVENANCE_DIVERSITY] * len(diversity),
+        params,
+        {"s_var": scores.scores, "general": np.asarray(general, dtype=np.int32), **diag},
+    )
+
+
 def prune_gvp(
     cache: CalibrationCache,
     layer: MoELayer,
@@ -292,18 +299,9 @@ def prune_gvp(
     general, candidates, stage_diag = _select_general(cache, layer, m, budget)
     scores = variability_scores(cache)
     by_score = sorted(candidates, key=lambda i: (-scores.scores[i], i))
-    diversity = by_score[: r - m]
-
-    return PruningPlan(
-        "gvp",
-        general + diversity,
-        [PROVENANCE_GENERAL] * len(general) + [PROVENANCE_DIVERSITY] * len(diversity),
-        {"n": layer.n_experts, "r": r, "m": m, "K": None, "seed": None},
-        {
-            "s_var": scores.scores,
-            "general": np.asarray(general, dtype=np.int32),
-            **stage_diag,
-        },
+    return _core_plan(
+        "gvp", general, by_score[: r - m],
+        {"n": layer.n_experts, "r": r, "m": m, "K": None, "seed": None}, scores, stage_diag,
     )
 
 
@@ -346,19 +344,11 @@ def prune_mop(
     partition = ward_partition(perf, sim, n_groups)
 
     scores = variability_scores(cache)
-    representatives: list[int] = []
-    for group in partition.groups:
-        best = min(group, key=lambda i: (-scores.scores[i], i))
-        representatives.append(best)
-
-    return PruningPlan(
-        "mop",
-        general + representatives,
-        [PROVENANCE_GENERAL] * len(general) + [PROVENANCE_DIVERSITY] * len(representatives),
-        {"n": layer.n_experts, "r": r, "m": m, "K": n_groups, "seed": kmeans_seed},
+    representatives = [min(g, key=lambda i: (-scores.scores[i], i)) for g in partition.groups]
+    return _core_plan(
+        "mop", general, representatives,
+        {"n": layer.n_experts, "r": r, "m": m, "K": n_groups, "seed": kmeans_seed}, scores,
         {
-            "s_var": scores.scores,
-            "general": np.asarray(general, dtype=np.int32),
             "labels": labeling.labels,
             "centroids": labeling.centroids,
             "groups": [list(g) for g in partition.groups],

@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -83,21 +83,7 @@ class Manifest:
                 )
 
     def to_json(self) -> str:
-        doc = {
-            "format_version": self.format_version,
-            "arrays": [
-                {
-                    "name": e.name,
-                    "shape": list(e.shape),
-                    "dtype": e.dtype,
-                    "offset": e.offset,
-                    "length": e.length,
-                }
-                for e in self.arrays
-            ],
-            "metadata": dict(self.metadata),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":

@@ -10,6 +10,7 @@ with (numpy 2.4, OpenBLAS 0.3).
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,28 @@ def test_search_pass_matches_recorded_digests():
 def test_cluster_pass_matches_recorded_digests(cluster_inputs):
     result = workloads.inprocess_pass("cluster", 0, cluster_inputs)
     assert dict(result["ops"]) == recorded("cluster", 0)
+
+
+# Traced-memory ceilings of one warm pass at seed 7, in KiB. Over hash seeds
+# 0-3 a pass peaked at 1,474-1,478 KiB (`search`) and 2,112-2,114 KiB
+# (`cluster`); each ceiling leaves about 2% of slack above the highest.
+PEAK_CEILING_KIB = {"search": 1506, "cluster": 2155}
+
+
+@pytest.mark.parametrize("workload", sorted(PEAK_CEILING_KIB))
+def test_pass_peak_memory_stays_under_ceiling(workload):
+    """The tracemalloc peak of a pass, after one untraced pass has warmed every
+    cache: a change that makes a pass hold more memory (a larger routing
+    batch, a kept copy of the expert outputs) fails here."""
+    inputs = workloads.build_inputs(workload, 7)
+    workloads.inprocess_pass(workload, 7, inputs)
+    tracemalloc.start()
+    try:
+        workloads.inprocess_pass(workload, 7, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1024 <= PEAK_CEILING_KIB[workload], f"{peak / 1024:.1f} KiB"
 
 
 def test_bounds_skip_most_points_once_centroids_settle(cluster_inputs, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -473,6 +474,61 @@ def test_assignment_matches_broadcast_formula(points_centroids, shift):
 )
 def test_assignment_fixed_cases(points, centroids):
     check_assignment(np.array(points), np.array(centroids))
+
+
+def check_bounds_exactly(points, centroids, bounds):
+    """Every finite bound of `_assign` against the exact distances: for each
+    row, upper^2 >= |x - c_label|^2 and lower^2 <= |x - c_j|^2 for every other
+    j, with every float64 taken as the exact rational it is."""
+    labels, upper, lower = bounds
+    exact_c = [[Fraction(v) for v in row] for row in centroids.tolist()]
+    for x, label, u, l in zip(points.tolist(), labels.tolist(), upper.tolist(), lower.tolist()):
+        assert u >= 0 and l >= 0
+        x = [Fraction(v) for v in x]
+        dist = [sum((a - b) ** 2 for a, b in zip(x, c)) for c in exact_c]
+        if u != np.inf:
+            assert Fraction(u) ** 2 >= dist[label]
+        lower_sq = Fraction(l) ** 2
+        assert all(lower_sq <= dist[j] for j in range(len(dist)) if j != label)
+
+
+@st.composite
+def far_points_small_gaps(draw):
+    """A cloud far from the origin around one centroid a small gap from it,
+    and other centroids far enough off that many rows are certified: the
+    product form loses most of the gap to cancellation there."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([1e3, 1e5, 1e6, 3e8])) * rng.choice([-1.0, 1.0], d)
+    gap = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+    n, k = draw(st.integers(1, 30)), draw(st.integers(2, 5))
+    points = offset + rng.standard_normal((n, d)) * gap
+    centroids = offset + rng.standard_normal((k, d)) * gap
+    centroids[1:] += rng.standard_normal((k - 1, d)) * draw(st.sampled_from([1e2, 1e4, 1e6]))
+    return points, centroids
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(tie_prone_points(), far_points_small_gaps()),
+       st.sampled_from([None, 0.0, 1e-9, 0.5, 1e3]))
+def test_assignment_bounds_hold_in_exact_arithmetic(points_centroids, shift):
+    """The bounds `_assign` certifies its labels with, fresh and after the
+    centroids moved, hold for the true distances, not only for the rounded
+    ones, also where the product form cancels."""
+    points, centroids = points_centroids
+    with np.errstate(all="ignore"):
+        sq_norms = (points * points).sum(axis=1)
+        norms, scratch = np.sqrt(sq_norms), np.empty_like(points)
+        if shift is None:
+            fresh = cluster._assign(points, sq_norms, norms, centroids, scratch)
+            check_bounds_exactly(points, centroids, fresh)
+            return
+        previous = centroids + shift
+        at_previous = cluster._assign(points, sq_norms, norms, previous, scratch)
+        check_bounds_exactly(points, previous, at_previous)
+        moved = cluster._assign(points, sq_norms, norms, centroids, scratch,
+                                (previous, at_previous))
+    check_bounds_exactly(points, centroids, moved)
 
 
 def check_kmeans(points, k, seed, max_iters, n_init, start=None):

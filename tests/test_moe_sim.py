@@ -22,7 +22,7 @@ from moe_prune import (
     save_layer,
 )
 from moe_prune import cli, moe_sim
-from moe_prune.moe_sim import _route, _sorted_kept, forward_subset_batch, gate_batch
+from moe_prune.moe_sim import _gate, _route_batch, _sorted_kept, forward_subset_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
 
@@ -139,7 +139,7 @@ def test_calibration_kmeans_recovers_domains():
 def test_gate_uniform_for_zero_router(rng):
     layer = make_random_layer(rng, n=5)
     layer.router[:] = 0.0
-    probs = gate_batch(layer, rng.standard_normal((1, 8)))[0]
+    probs = cache_from_inputs(layer, rng.standard_normal((1, 8))).gate_probs[0]
     assert np.allclose(probs, 0.2, atol=1e-7)
 
 
@@ -154,14 +154,15 @@ def test_gate_shift_invariance(rng):
     # constant for any fixed token
     for _ in range(5):
         X = rng.standard_normal((1, 8))
-        assert np.allclose(gate_batch(layer, X), gate_batch(shifted, X), atol=1e-5)
+        gates = [cache_from_inputs(lay, X).gate_probs for lay in (layer, shifted)]
+        assert np.allclose(*gates, atol=1e-5)
 
 
 def test_gate_matches_scalar_oracle(rng):
     layer = make_random_layer(rng, n=6, hidden=8)
     for _ in range(10):
         x = rng.standard_normal(8).astype(np.float32)
-        got = gate_batch(layer, x[None, :])[0]
+        got = cache_from_inputs(layer, x[None, :]).gate_probs[0]
         want = oracle_gate(layer, x)
         assert got.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-7)
@@ -170,7 +171,7 @@ def test_gate_matches_scalar_oracle(rng):
 def test_gate_rejects_non_finite(rng):
     layer = make_random_layer(rng)
     with pytest.raises(ValueError, match="non-finite"):
-        gate_batch(layer, np.array([[np.nan] * 8]))
+        cache_from_inputs(layer, np.array([[np.nan] * 8]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_gate_rejects_non_finite(rng):
 def test_forward_full_topk_equals_dense_mixture(rng):
     layer = make_random_layer(rng, n=4, hidden=8, top_k=4)
     X = rng.standard_normal((1, 8)).astype(np.float32)
-    probs = gate_batch(layer, X)[0]
+    probs = cache_from_inputs(layer, X).gate_probs[0]
     dense = np.zeros(8, dtype=np.float64)
     for i in range(4):
         dense += probs[i].astype(np.float64) * layer.experts[i].apply(X)[0].astype(np.float64)
@@ -289,7 +290,7 @@ def test_subset_weights_rows_sum_to_one(rng):
     layer = make_random_layer(rng, n=6, hidden=8, top_k=2)
     X = rng.standard_normal((20, 8)).astype(np.float32)
     idx = _sorted_kept([0, 2, 3, 5], layer.n_experts)
-    weights = _route(layer, idx, X)
+    weights = _route_batch(layer, np.array([idx]), X)[0].T
     assert list(idx) == [0, 2, 3, 5]
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
     # exactly top_k entries per row are nonzero
@@ -334,7 +335,7 @@ def test_cache_from_inputs_consistent(rng):
     layer = make_random_layer(rng, n=4, hidden=6)
     cache = make_random_cache(rng, layer, n_tokens=10)
     assert np.array_equal(cache.outputs_full, forward_subset_batch(layer, range(4), cache.inputs))
-    assert np.array_equal(cache.gate_probs, gate_batch(layer, cache.inputs))
+    assert np.array_equal(cache.gate_probs, _gate(layer, cache.inputs))
 
 
 def test_cache_from_inputs_scans_inputs_once(rng, monkeypatch):

@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moe_prune import (
@@ -30,7 +30,8 @@ from moe_prune import (
 )
 from moe_prune import metrics, moe_sim
 from moe_prune.metrics import _LossScorer
-from moe_prune.moe_sim import _combine, _route, _route_batch, _sorted_kept, forward_subset_batch
+from moe_prune.prune import _first_min
+from moe_prune.moe_sim import _combine, _route_batch, _sorted_kept, forward_subset_batch
 
 from conftest import make_random_cache, make_random_layer
 
@@ -121,7 +122,8 @@ def test_combine_kernel_matches_per_subset_formula(layer_cache, data):
         want = oracle_forward(layer, kept, x)
         assert np.array_equal(forward_subset_batch(layer, kept, x), want)
         idx = _sorted_kept(kept, n)
-        assert np.array_equal(_combine(layer, _route(layer, idx, x).T, idx, outputs.__getitem__), want)
+        weights = _route_batch(layer, np.array([idx]), x)[0]
+        assert np.array_equal(_combine(layer, weights, idx, outputs.__getitem__), want)
     assert np.array_equal(cache.outputs_full, oracle_forward(layer, range(n), cache.inputs))
 
 
@@ -199,7 +201,7 @@ def test_tied_routing_matches_per_subset_formula(layer_cache, data):
     for kept in data.draw(kept_sets(n)) + small + [set(range(n))]:
         want_weights, want_idx = oracle_weights(layer, kept, cache.inputs)
         idx = _sorted_kept(kept, n)
-        weights = _route(layer, idx, cache.inputs)
+        weights = _route_batch(layer, np.array([idx]), cache.inputs)[0].T
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(weights, want_weights)
         assert np.array_equal(
@@ -522,3 +524,40 @@ def test_finite_loss_wins_over_nan(rng, mode):
         kept_2 = (plan.diagnostics["subsets"] == 2).any(axis=1)
         assert np.array_equal(np.isnan(losses), kept_2)
         assert np.array_equal(losses[~kept_2], want.diagnostics["losses"][~kept_2])
+
+
+def oracle_first_min(losses):
+    """The strict-`<` scan both searches ran before `_first_min`: -1 when no
+    loss is below +inf."""
+    best_i, best = -1, math.inf
+    for i, loss in enumerate(losses.tolist()):
+        if loss < best:
+            best_i, best = i, loss
+    return best_i
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, math.nan]), st.floats()),
+        min_size=1, max_size=12,
+    ),
+    st.integers(1, 64),
+)
+@example([math.nan, math.nan], 3)
+@example([math.inf, math.nan, math.inf], 1)
+@example([0.0, -0.0, 1.0, -0.0], 2)
+def test_first_min_matches_strict_scan(values, size):
+    """Exact ties, +-0.0, NaN and +inf: the index the scan kept, or, where it
+    kept none, the error the searches raised."""
+    losses = np.array(values, dtype=np.float64)
+    want = oracle_first_min(losses)
+    if want >= 0:
+        assert _first_min(losses, size) == want
+        return
+    with pytest.raises(ValueError) as err:
+        _first_min(losses, size)
+    assert str(err.value) == (
+        f"every candidate {size}-expert subset has a NaN or infinite reconstruction loss: "
+        "the router logits or expert outputs overflow float32"
+    )
