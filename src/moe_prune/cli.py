@@ -90,7 +90,10 @@ def load_config(path: str | None) -> dict:
     user: dict = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ConfigError(f"config {path}: not valid JSON: {exc}") from None
     return _merge(path, "", DEFAULT_CONFIG, user)
 
 
@@ -265,8 +268,10 @@ def cmd_report(args: argparse.Namespace, outputs: _Outputs) -> int:
             path = os.path.join(root, "report.csv")
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
-            if len(lines) >= 2:
-                rows.append((os.path.relpath(root, args.dir), lines[0], lines[1], path))
+            if len(lines) < 2:
+                print(f"error: {path} has no data row", file=sys.stderr)
+                return 1
+            rows.append((os.path.relpath(root, args.dir), lines[0], lines[1], path))
     if not rows:
         print(f"no report.csv files under {args.dir}", file=sys.stderr)
         return 1

@@ -226,29 +226,27 @@ def _assign_with_repair(
 def _group_means(
     points: np.ndarray,
     labels: np.ndarray,
-    k: int,
     scratch: np.ndarray,
-    stale: tuple[np.ndarray, np.ndarray] | None = None,
+    previous: np.ndarray,
+    changed: np.ndarray,
 ) -> np.ndarray:
-    """Each cluster's mean, bit for bit `points[labels == j].mean(axis=0)`.
+    """Each cluster's mean, bit for bit `points[labels == j].mean(axis=0)`,
+    given the previous centroids and a [k] mask of the clusters to recompute.
+
+    The mask must hold every cluster whose member set changed since
+    `previous`, and every one whose row is not its mean (reseeded, or the
+    first update). Only their rows are gathered and reduced; every other
+    cluster has the same rows in the same order, so it keeps its previous
+    mean, which has the same bits. `previous` is read, not written.
 
     A stable sort by label puts each cluster's rows, in index order, in one
     contiguous slice of `scratch`; `np.add.reduce` adds them in the order
     `mean` does, and the sum is divided by the count, as `mean` divides it.
     The labels are sorted at the narrowest integer width, where numpy's stable
     sort is a radix sort.
-
-    `stale`, if given, is the previous centroids and a mask of the clusters
-    to recompute: those whose member set changed since, and those whose row
-    is not their mean (reseeded). Only their rows are gathered and reduced;
-    every other cluster has the same rows in the same order, so it keeps its
-    previous mean, which has the same bits.
     """
-    if stale is None:
-        centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-        changed = np.ones(k, dtype=bool)
-    else:
-        centroids, changed = stale[0].copy(), stale[1]
+    k = changed.size
+    centroids = previous.copy()
     rows = np.flatnonzero(changed[labels])
     order = rows[np.argsort(labels[rows].astype(np.min_scalar_type(k)), kind="stable")]
     np.take(points, order, axis=0, out=scratch[: order.size], mode="clip")
@@ -279,11 +277,9 @@ def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) ->
     centroids = _kmeanspp_init(pts, k, rng, scratch)
     nearest, _ = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
     labels = nearest[0]
-    stale = None
-    iterations_run = 0
-    for _ in range(max_iters):
-        iterations_run += 1
-        previous, centroids = centroids, _group_means(pts, labels, k, scratch, stale)
+    changed = np.ones(k, dtype=bool)  # the k-means++ centroids are no cluster's mean
+    for iterations_run in range(1, max_iters + 1):
+        previous, centroids = centroids, _group_means(pts, labels, scratch, centroids, changed)
         nearest, changed = _assign_with_repair(
             pts, sq_norms, norms, centroids, scratch, (previous, nearest)
         )
@@ -294,7 +290,6 @@ def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) ->
         # the next update recomputes the reseeded clusters and those a row left or joined
         changed[labels[relabeled]] = True
         changed[new_labels[relabeled]] = True
-        stale = (centroids, changed)
         labels = new_labels
     return DomainLabeling(
         labels=labels.astype(np.int32),

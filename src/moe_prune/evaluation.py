@@ -10,7 +10,6 @@ configs and tabulates them against the first as baseline.
 
 from __future__ import annotations
 
-import io
 import os
 import time
 from dataclasses import dataclass
@@ -139,25 +138,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _comparison_cells(rows: list[dict]) -> list[list[str]]:
+    """The comparison table as text: the header line, then one line per row."""
+    return [list(COMPARISON_COLUMNS)] + [
+        [_format_cell(row.get(col)) for col in COMPARISON_COLUMNS] for row in rows
+    ]
+
+
 def comparison_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(COMPARISON_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_format_cell(row.get(col)) for col in COMPARISON_COLUMNS) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(line) + "\n" for line in _comparison_cells(rows))
 
 
 def comparison_to_text(rows: list[dict]) -> str:
-    table = [[_format_cell(row.get(col)) for col in COMPARISON_COLUMNS] for row in rows]
-    widths = [
-        max(len(COMPARISON_COLUMNS[c]), *(len(line[c]) for line in table)) if table
-        else len(COMPARISON_COLUMNS[c])
-        for c in range(len(COMPARISON_COLUMNS))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(COMPARISON_COLUMNS, widths))]
-    for line in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
-    return "\n".join(lines) + "\n"
+    table = _comparison_cells(rows)
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in table)
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +176,18 @@ def export_heatmap_csv(report: EvalReport, path_prefix: str | os.PathLike) -> li
 
 def report_to_csv(report: EvalReport) -> str:
     """Single-row summary CSV for one evaluated plan."""
-    n_domains = report.per_domain_loss.size
-    columns = ["method", "r", "m", "seed", "overall_loss", "worst_domain_loss", "coverage",
-               "n_tokens"]
-    columns += [f"domain{d}_loss" for d in range(n_domains)]
-    columns += [f"domain{d}_tokens" for d in range(n_domains)]
-    values = [
-        report.method,
-        report.params.get("r"),
-        report.params.get("m"),
-        report.params.get("seed"),
-        report.overall_loss,
-        report.worst_domain_loss,
-        report.coverage,
-        report.n_tokens,
+    cells = [
+        ("method", report.method),
+        ("r", report.params.get("r")),
+        ("m", report.params.get("m")),
+        ("seed", report.params.get("seed")),
+        ("overall_loss", report.overall_loss),
+        ("worst_domain_loss", report.worst_domain_loss),
+        ("coverage", report.coverage),
+        ("n_tokens", report.n_tokens),
     ]
-    values += [float(x) for x in report.per_domain_loss]
-    values += [int(x) for x in report.domain_token_counts]
-    head = ",".join(columns)
-    body = ",".join(_format_cell(v) for v in values)
+    cells += [(f"domain{d}_loss", float(x)) for d, x in enumerate(report.per_domain_loss)]
+    cells += [(f"domain{d}_tokens", int(x)) for d, x in enumerate(report.domain_token_counts)]
+    head = ",".join(column for column, _ in cells)
+    body = ",".join(_format_cell(value) for _, value in cells)
     return head + "\n" + body + "\n"

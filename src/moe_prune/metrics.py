@@ -79,13 +79,11 @@ class _LossScorer:
     are routed in batches of at most `_BATCH_LOGITS` logits by one
     `_route_batch` call each, so no batch spans two blocks. A set's
     logits come from the same BLAS call whatever else is in its batch, so
-    its weights, and so its loss, keep their bits. `loss` checks one kept
-    set (nonempty, unique, in range) in plain Python and scores it as a
-    batch of one. An expert's output does not
-    depend on the set, so each one is computed on first use and reused until
-    release(e). A search releases an expert once no later subset keeps it,
-    which bounds how many outputs stay alive. `on_output(e, output)`, if
-    given, sees each output as it is computed.
+    its weights, and so its loss, keep their bits. An expert's output does
+    not depend on the set, so each one is computed on first use and reused
+    until release(e). A search releases an expert once no later subset
+    keeps it, which bounds how many outputs stay alive. `on_output(e,
+    output)`, if given, sees each output as it is computed.
     """
 
     def __init__(
@@ -108,10 +106,6 @@ class _LossScorer:
             if self._on_output is not None:
                 self._on_output(e, out)
         return out
-
-    def loss(self, kept: Iterable[int]) -> float:
-        idx = _sorted_kept(kept, self._layer.n_experts)
-        return float(self.losses(np.array([idx], dtype=np.intp))[0])
 
     def losses(self, subsets: np.ndarray) -> np.ndarray:
         """The loss of each kept set `subsets` [M, s] holds, in row order.
@@ -149,7 +143,9 @@ def reconstruction_loss(
     cache: CalibrationCache, layer: MoELayer, kept: Iterable[int]
 ) -> float:
     """Sum over cached tokens of ||pruned_output - cached_full_output||^2."""
-    return _LossScorer(cache, layer).loss(kept)
+    scorer = _LossScorer(cache, layer)
+    idx = _sorted_kept(kept, layer.n_experts)
+    return float(scorer.losses(np.array([idx], dtype=np.intp))[0])
 
 
 def variability_scores(cache: CalibrationCache) -> VariabilityScores:

@@ -154,7 +154,7 @@ def _first_min(losses: np.ndarray, size: int) -> int:
 
 def _search_exhaustive(
     scorer: _LossScorer, n: int, size: int, budget: int
-) -> tuple[list[int], float, dict]:
+) -> tuple[list[int], dict]:
     n_subsets = math.comb(n, size)
     if n_subsets > budget:
         raise ValueError(
@@ -176,12 +176,11 @@ def _search_exhaustive(
         row = end
         scorer.release(first)
     best_row = _first_min(losses, size)  # ties keep the lexicographically first subset
-    best_loss = float(losses[best_row])
-    diag = {"subsets": subsets, "losses": losses, "best_loss": best_loss}
-    return subsets[best_row].tolist(), best_loss, diag
+    diag = {"subsets": subsets, "losses": losses, "best_loss": float(losses[best_row])}
+    return subsets[best_row].tolist(), diag
 
 
-def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], float, dict]:
+def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], dict]:
     current = list(range(n))
     removed: list[int] = []
     step_losses: list[float] = []
@@ -196,13 +195,13 @@ def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], f
         removed.append(best_i)
         step_losses.append(float(losses[j]))
     # the last step scored `current`: a set's loss does not depend on its batch
-    final_loss = step_losses[-1] if step_losses else scorer.loss(current)
+    final_loss = step_losses[-1] if step_losses else scorer.losses(np.array([current]))[0]
     diag = {
         "removed_order": np.asarray(removed, dtype=np.int32),
         "step_losses": np.asarray(step_losses, dtype=np.float64),
-        "best_loss": final_loss,
+        "best_loss": float(final_loss),
     }
-    return current, final_loss, diag
+    return current, diag
 
 
 def _search_mode(n: int, size: int, budget: int) -> str:
@@ -212,8 +211,9 @@ def _search_mode(n: int, size: int, budget: int) -> str:
 
 def _search(
     scorer: _LossScorer, n: int, size: int, mode: str, budget: int
-) -> tuple[list[int], float, dict]:
-    """The best `size`-subset of the n experts by the scorer's loss: kept set, loss, diagnostics."""
+) -> tuple[list[int], dict]:
+    """The best `size`-subset of the n experts by the scorer's loss, ascending,
+    and the search diagnostics, whose "best_loss" is its loss."""
     if mode == "exhaustive":
         return _search_exhaustive(scorer, n, size, budget)
     if mode == "greedy":
@@ -231,7 +231,7 @@ def prune_enum(
     """Minimize reconstruction loss over r-subsets, exactly or greedily."""
     n = layer.n_experts
     _check_r(r, n)
-    kept, _, diag = _search(_LossScorer(cache, layer), n, r, mode, budget)
+    kept, diag = _search(_LossScorer(cache, layer), n, r, mode, budget)
     return PruningPlan(
         method=f"enum_{mode}",
         kept=kept,
@@ -268,9 +268,9 @@ def _select_general(
     if m == 0:
         return [], list(range(n)), {"stage1_mode": "none"}
     mode = _search_mode(n, m, budget)
-    core, loss, _ = _search(_LossScorer(cache, layer, on_output), n, m, mode, budget)
+    core, diag = _search(_LossScorer(cache, layer, on_output), n, m, mode, budget)
     candidates = sorted(set(range(n)) - set(core))
-    return sorted(core), candidates, {"stage1_mode": mode, "stage1_loss": loss}
+    return core, candidates, {"stage1_mode": mode, "stage1_loss": diag["best_loss"]}
 
 
 def _core_plan(

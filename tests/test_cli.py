@@ -136,6 +136,18 @@ def test_config_value_types_checked(tmp_path, capsys, doc, named):
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.mark.parametrize(
+    "raw", [b'{"model": {"seed": 5},}', b'{"model": {"seed": 5}', b'{"model": "\xff"}']
+)
+def test_malformed_config_named_before_writing(tmp_path, capsys, raw):
+    config = tmp_path / "config.json"
+    config.write_bytes(raw)
+    assert run(["gen-model", "--config", str(config), "--out", str(tmp_path / "model")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config}: not valid JSON: ")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_config_int_accepted_for_float(tmp_path):
     path = write_config(tmp_path, model={"domain_separation": 20, "duplicate_noise": 0})
     assert cli.load_config(path)["model"]["domain_separation"] == 20
@@ -280,6 +292,19 @@ def test_report_mismatched_headers_fail_without_output(tmp_path, capsys):
     assert captured.out == ""
     assert os.path.join("evals", "a", "report.csv") in captured.err
     assert os.path.join("evals", "b", "report.csv") in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("others", [{}, {"b": "method,d0\ngvp,1\n"}], ids=["only", "mixed"])
+def test_report_without_data_row_fails_without_output(tmp_path, capsys, others):
+    for name, text in {"a": "method,d0\n", **others}.items():
+        os.makedirs(tmp_path / "evals" / name)
+        (tmp_path / "evals" / name / "report.csv").write_text(text)
+    out = tmp_path / "summary.csv"
+    assert run(["report", "--dir", str(tmp_path / "evals"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'evals' / 'a' / 'report.csv'} has no data row\n"
     assert not out.exists()
 
 

@@ -531,6 +531,33 @@ def test_assignment_bounds_hold_in_exact_arithmetic(points_centroids, shift):
     check_bounds_exactly(points, centroids, moved)
 
 
+@pytest.mark.parametrize(
+    "x, previous, centroids, upper, lower",
+    [
+        # the exact new distance 1 + 2^-54 rounds to 1.0 unless the upper bound is widened
+        (1.0, [2.0**-60, 10.0], [-(2.0**-54), 10.0], 1.0, 9.0),
+        # the exact new distance 8 - 2^-54 rounds to 8.0 unless the lower bound is widened
+        (8.0, [7.0, 0.0], [7.0, 2.0**-54], 1.0, 8.0),
+        # a move of 2^-570 squares to 0 in float64, and the distance doubles
+        (0.0, [-(2.0**-570), 1.0], [-(2.0**-569), 1.0], 2.0**-570, 1.0),
+    ],
+    ids=["upper-widening", "lower-widening", "move-underflow"],
+)
+def test_moved_bounds_hold_in_exact_arithmetic(x, previous, centroids, upper, lower):
+    """Bounds tight at the previous centroids still hold for the true
+    distances after a move smaller than half an ulp of the bound, or one
+    whose square underflows."""
+    points = np.array([[x]])
+    previous, centroids = np.array(previous)[:, None], np.array(centroids)[:, None]
+    bounds = (np.array([0]), np.array([upper]), np.array([lower]))
+    check_bounds_exactly(points, previous, bounds)
+    sq_norms = (points * points).sum(axis=1)
+    scratch = np.empty_like(points)
+    moved = cluster._assign(points, sq_norms, np.sqrt(sq_norms), centroids, scratch,
+                            (previous, bounds))
+    check_bounds_exactly(points, centroids, moved)
+
+
 def check_kmeans(points, k, seed, max_iters, n_init, start=None):
     """kmeans against oracle_kmeans, bit for bit; with `start`, both begin
     every restart at those centroids instead of k-means++."""
@@ -628,12 +655,19 @@ def labeled_points(draw):
     return points, labels, k
 
 
+def fresh_group_means(points, labels, k, scratch):
+    """Every cluster's mean, from previous centroids that are all NaN and
+    every cluster marked changed, as a restart's first update computes it."""
+    previous = np.full((k, points.shape[1]), np.nan)
+    return cluster._group_means(points, labels, scratch, previous, np.ones(k, dtype=bool))
+
+
 @settings(deadline=None, max_examples=200)
 @given(labeled_points(), st.integers(0, 2**16))
 def test_cluster_kernels_match_direct_formulas(points_labels, seed):
     points, labels, k = points_labels
     scratch = np.empty_like(points)
-    means = cluster._group_means(points, labels, k, scratch)
+    means = fresh_group_means(points, labels, k, scratch)
     assert means.tobytes() == oracle_group_means(points, labels, k).tobytes()
     with np.errstate(over="ignore"):
         want = oracle_wcss(points, labels, means)
@@ -661,7 +695,7 @@ def test_group_means_from_stale_means_match_direct_formula(points_labels, seed, 
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     scratch = np.empty_like(points)
-    previous = cluster._group_means(points, labels, k, scratch)
+    previous = fresh_group_means(points, labels, k, scratch)
     new_labels = labels.copy()
     moved = rng.random(n) < move_share
     new_labels[moved] = rng.integers(0, k, int(moved.sum()))
@@ -674,7 +708,7 @@ def test_group_means_from_stale_means_match_direct_formula(points_labels, seed, 
     changed[labels[relabeled]] = True
     changed[new_labels[relabeled]] = True
     kept = previous.copy()
-    got = cluster._group_means(points, new_labels, k, scratch, (previous, changed))
+    got = cluster._group_means(points, new_labels, scratch, previous, changed)
     assert got.tobytes() == oracle_group_means(points, new_labels, k).tobytes()
     assert previous.tobytes() == kept.tobytes()  # the previous centroids are read, not written
 
@@ -708,9 +742,9 @@ def test_late_lloyd_updates_reduce_only_touched_clusters(monkeypatch):
         restarts.append([])
         return lloyd(*args)
 
-    def recording_group_means(points, labels, k, *rest):
+    def recording_group_means(points, labels, *rest):
         restarts[-1].append([labels.copy(), 0])
-        return group_means(points, labels, k, *rest)
+        return group_means(points, labels, *rest)
 
     monkeypatch.setattr(cluster, "np", CountingNumpy())
     monkeypatch.setattr(cluster, "_lloyd", recording_lloyd)

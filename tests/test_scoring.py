@@ -64,6 +64,11 @@ def oracle_loss(cache, layer, kept):
     return float(np.sum(diff * diff))
 
 
+def score_one(scorer, kept, n):
+    """The scorer's loss of one kept set, scored as a batch of one."""
+    return scorer.losses(np.array([_sorted_kept(kept, n)], dtype=np.intp))[0]
+
+
 def oracle_greedy(cache, layer, size):
     current = list(range(layer.n_experts))
     removed, step_losses = [], []
@@ -101,11 +106,11 @@ def test_scorer_matches_per_subset_formula(layer_cache, data):
     scorer = _LossScorer(cache, layer)
     for kept in drawn + small:
         want = oracle_loss(cache, layer, kept)
-        assert scorer.loss(kept) == want
+        assert score_one(scorer, kept, n) == want
         assert reconstruction_loss(cache, layer, kept) == want
         if data.draw(st.booleans()):
             scorer.release(data.draw(st.integers(0, n - 1)))
-    assert scorer.loss(range(n)) == 0.0
+    assert score_one(scorer, range(n), n) == 0.0
     assert reconstruction_loss(cache, layer, range(n)) == 0.0
 
 
@@ -209,9 +214,9 @@ def test_tied_routing_matches_per_subset_formula(layer_cache, data):
             oracle_forward(layer, kept, cache.inputs),
         )
         want = oracle_loss(cache, layer, kept)
-        assert scorer.loss(kept) == want
+        assert score_one(scorer, kept, n) == want
         assert reconstruction_loss(cache, layer, kept) == want
-    assert scorer.loss(range(n)) == 0.0
+    assert score_one(scorer, range(n), n) == 0.0
 
 
 @settings(deadline=None, max_examples=40)
@@ -405,17 +410,15 @@ def test_scorer_checks_once_per_search_and_kept_sets_per_call(rng, monkeypatch):
     # the search checks nothing per subset with these: cache and layer were checked when made
     assert not calls, calls
 
-    scorer = _LossScorer(cache, layer)
-    for loss in (scorer.loss, lambda kept: reconstruction_loss(cache, layer, kept)):
-        for kept, problem in [
-            ([], "nonempty"), ([2, 5, 2], "unique"), ([0, 8], "out of range"), ([-1, 3], "out of range"),
-        ]:
-            with pytest.raises(ValueError, match=problem):
-                loss(kept)
-        want = loss([1, 4, 6])
-        assert loss({6, 1, 4}) == want
-        assert loss([6, 4, 1]) == want
-        assert loss(e for e in (4, 6, 1)) == want
+    for kept, problem in [
+        ([], "nonempty"), ([2, 5, 2], "unique"), ([0, 8], "out of range"), ([-1, 3], "out of range"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            reconstruction_loss(cache, layer, kept)
+    want = reconstruction_loss(cache, layer, [1, 4, 6])
+    assert reconstruction_loss(cache, layer, {6, 1, 4}) == want
+    assert reconstruction_loss(cache, layer, [6, 4, 1]) == want
+    assert reconstruction_loss(cache, layer, (e for e in (4, 6, 1))) == want
 
 
 def watch_outputs(monkeypatch):

@@ -74,6 +74,15 @@ MUTANTS = {
     "assign-fresh-upper-no-slack": (
         "cluster.py", "np.maximum(best + 0.25 * bound, 0.0)", "np.maximum(best, 0.0)",
     ),
+    "group-means-writes-previous": (
+        "cluster.py", "centroids = previous.copy()", "centroids = previous",
+    ),
+    "lloyd-first-update-nothing-changed": (
+        "cluster.py", "changed = np.ones(k, dtype=bool)", "changed = np.zeros(k, dtype=bool)",
+    ),
+    "reconstruction-loss-unchecked": (
+        "metrics.py", "idx = _sorted_kept(kept, layer.n_experts)", "idx = list(kept)",
+    ),
 }
 
 
