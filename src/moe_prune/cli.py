@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -106,6 +105,8 @@ def validate_config(config: dict) -> None:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # only here: `report` writes no provenance, so it never loads OpenSSL
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 

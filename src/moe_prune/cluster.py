@@ -64,7 +64,10 @@ class ExpertPartition:
 # ---------------------------------------------------------------------------
 # k-means
 #
-# Each restart keeps one scratch array of the points' shape for its kernels.
+# Each `kmeans` call builds one working set, which all its restarts share: the
+# float64 points, their squared norms and norms, and one scratch array of the
+# points' shape for the kernels (the k-means++ distances, the repair's
+# direct-form distances, the centroid sums and the WCSS).
 # `np.take(..., mode="clip")` writes into it directly, where mode "raise"
 # goes through a buffer; every index taken is in range.
 
@@ -214,8 +217,8 @@ def _assign_with_repair(
         if empties.size == 0:
             return nearest, reseeded
         reseeded[empties] = True
-        own_centroids = centroids[labels]
-        own = _sq_dists_to(points, own_centroids, own_centroids)
+        np.take(centroids, labels, axis=0, out=scratch, mode="clip")  # each point's own centroid
+        own = _sq_dists_to(points, scratch, scratch)
         for j in empties:
             far = int(own.argmax())
             centroids[j] = points[far]
@@ -270,10 +273,15 @@ def _wcss(
     return float(scratch.sum())
 
 
-def _lloyd(pts: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) -> DomainLabeling:
-    sq_norms = (pts * pts).sum(axis=1)
-    norms = np.sqrt(sq_norms)
-    scratch = np.empty_like(pts)
+def _lloyd(
+    pts: np.ndarray,
+    sq_norms: np.ndarray,
+    norms: np.ndarray,
+    scratch: np.ndarray,
+    k: int,
+    max_iters: int,
+    rng: np.random.Generator,
+) -> DomainLabeling:
     centroids = _kmeanspp_init(pts, k, rng, scratch)
     nearest, _ = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
     labels = nearest[0]
@@ -321,10 +329,13 @@ def kmeans(
     if max_iters < 1 or n_init < 1:
         raise ValueError("max_iters and n_init must be >= 1")
 
+    sq_norms = (pts * pts).sum(axis=1)
+    norms = np.sqrt(sq_norms)
+    scratch = np.empty_like(pts)
     rng = np.random.default_rng(seed)
     best: DomainLabeling | None = None
     for _ in range(n_init):
-        candidate = _lloyd(pts, k, max_iters, rng)
+        candidate = _lloyd(pts, sq_norms, norms, scratch, k, max_iters, rng)
         if best is None or candidate.wcss < best.wcss:
             best = candidate
     assert best is not None

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -612,6 +613,31 @@ def test_cluster_emptied_mid_run_is_reseeded():
     assert 1 not in ((points[:, None, :] - means[None]) ** 2).sum(axis=2).argmin(axis=1)
     for offset in (0.0, 1e6, 3e8):
         check_kmeans(points + offset, 3, 0, 10, 1, start + offset)
+
+
+def test_repair_computes_its_distances_in_scratch():
+    """An empty-cluster repair gathers each point's own centroid into the
+    scratch array: its traced memory stays below one copy of the points, which
+    a gathered `centroids[labels]` would take by itself."""
+    rng = np.random.default_rng(3)
+    points = rng.standard_normal((4096, 64))
+    centroids = np.vstack([points[:2], np.full((1, 64), 1e3)])  # the third is far from every point
+    want_centroids = centroids.copy()
+    want = oracle_assign_with_repair(points, want_centroids)
+    sq_norms = (points * points).sum(axis=1)
+    norms, scratch = np.sqrt(sq_norms), np.empty_like(points)
+    tracemalloc.start()
+    try:
+        (labels, _, _), reseeded = cluster._assign_with_repair(
+            points, sq_norms, norms, centroids, scratch
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reseeded.tolist() == [False, False, True]
+    assert np.array_equal(labels, want)
+    assert centroids.tobytes() == want_centroids.tobytes()
+    assert peak < points.nbytes, f"{peak} bytes"
 
 
 @st.composite

@@ -80,6 +80,10 @@ MUTANTS = {
     "lloyd-first-update-nothing-changed": (
         "cluster.py", "changed = np.ones(k, dtype=bool)", "changed = np.zeros(k, dtype=bool)",
     ),
+    "repair-copies-own-centroids": (
+        "cluster.py", 'np.take(centroids, labels, axis=0, out=scratch, mode="clip")  # each point',
+        "scratch = centroids[labels]  # each point",
+    ),
     "reconstruction-loss-unchecked": (
         "metrics.py", "idx = _sorted_kept(kept, layer.n_experts)", "idx = list(kept)",
     ),
