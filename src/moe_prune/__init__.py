@@ -45,16 +45,13 @@ _EXPORTS = {
     ],
     "metrics": [
         "PerformanceMatrix",
-        "VariabilityScores",
         "activation_frequency",
         "performance_matrix",
         "reconstruction_loss",
         "variability_scores",
     ],
     "cluster": [
-        "DomainLabeling",
         "ExpertPartition",
-        "SimilarityMatrix",
         "kmeans",
         "similarity_matrix",
         "spearman_rho",
@@ -72,7 +69,6 @@ _EXPORTS = {
         "save_plan",
     ],
     "evaluation": [
-        "EvalReport",
         "compare_methods",
         "comparison_to_csv",
         "comparison_to_text",

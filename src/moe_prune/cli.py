@@ -2,7 +2,8 @@
 
 Each stage reads/writes tensor-store archives so runs are cacheable and
 independently re-runnable. A JSON config file supplies defaults; flags
-win over the config. Every output directory gets a provenance.json
+win over the config. Every archive or plan ``<out>`` gets an
+``<out>.provenance.json``, and every eval directory a ``provenance.json``,
 recording the effective config, seeds, and tool version. On failure or
 interrupt the files written by the failing command are removed and the
 exit status is nonzero. The MOP_THREADS environment variable caps BLAS
@@ -131,7 +132,7 @@ class _Outputs:
                 pass
 
 
-def _write_provenance(out_dir: str, command: str, config: dict, outputs: _Outputs) -> None:
+def _write_provenance(path: str, command: str, config: dict, outputs: _Outputs) -> None:
     from . import __version__
 
     doc = {
@@ -141,16 +142,13 @@ def _write_provenance(out_dir: str, command: str, config: dict, outputs: _Output
         "config": config,
         "config_hash": config_hash(config),
     }
-    path = os.path.join(out_dir, "provenance.json")
     outputs.track(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _ensure_parent_dir(prefix: str) -> str:
-    out_dir = os.path.dirname(os.path.abspath(prefix))
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _ensure_parent_dir(prefix: str) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
 
 
 def _planted_spec(model_cfg: dict):
@@ -161,10 +159,10 @@ def _planted_spec(model_cfg: dict):
 
 def _save_generated(args, config: dict, outputs: _Outputs, save, obj, metadata: dict) -> int:
     """The tail of gen-model and gen-calib: write the archive and its provenance."""
-    out_dir = _ensure_parent_dir(args.out)
+    _ensure_parent_dir(args.out)
     outputs.track_archive(args.out)
     manifest = save(obj, args.out, {"config_hash": config_hash(config), **metadata})
-    _write_provenance(out_dir, args.command, config, outputs)
+    _write_provenance(args.out + ".provenance.json", args.command, config, outputs)
     print(f"config hash: {config_hash(config)}")
     for entry in manifest.arrays:
         print(f"  {entry.name}: {list(entry.shape)} {entry.dtype}")
@@ -218,12 +216,12 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
         name: getattr(args, name) for name in ("method", "r", "m", "seed", "kmeans_seed", "budget")
     }
     plan = prune_with_method(cache, layer, **params)
-    out_dir = _ensure_parent_dir(args.out)
+    _ensure_parent_dir(args.out)
     if plan.diagnostics:
         outputs.track_archive(args.out + ".diag")
     outputs.track(args.out + ".json")
     save_plan(plan, args.out)
-    _write_provenance(out_dir, "prune", params, outputs)
+    _write_provenance(args.out + ".provenance.json", "prune", params, outputs)
     print(f"method: {plan.method}")
     print(f"kept: {plan.kept}")
     for tag in PROVENANCE_TAGS:
@@ -253,7 +251,7 @@ def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
     outputs.track(*_heatmap_paths(report, heatmap))
     export_heatmap_csv(report, heatmap)
     inputs = {name: os.path.basename(getattr(args, name)) for name in ("model", "plan", "heldout")}
-    _write_provenance(args.out, "eval", inputs, outputs)
+    _write_provenance(os.path.join(args.out, "provenance.json"), "eval", inputs, outputs)
     print(f"method: {report.method}")
     print(f"overall loss: {report.overall_loss:.6f}")
     print(f"worst-domain loss: {report.worst_domain_loss:.6f}")

@@ -201,54 +201,36 @@ def generate_layer(
     centroids = domain_centroids(spec, hidden_dim)
     rng = np.random.default_rng(spec.seed)
 
-    targets_in = [
-        rng.standard_normal((ff_dim, hidden_dim)) / math.sqrt(hidden_dim)
-        for _ in range(spec.n_domains)
+    def gaussian(shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+        return scale * rng.standard_normal(shape) / math.sqrt(shape[-1])
+
+    targets_in = [gaussian((ff_dim, hidden_dim)) for _ in range(spec.n_domains)]
+    targets_out = [gaussian((hidden_dim, ff_dim)) for _ in range(spec.n_domains)]
+    # (base w_in, base w_out, planted domain) of each expert: the domain's
+    # target for a specialist, the targets' mean for a generalist (-1)
+    bases = [
+        (targets_in[d], targets_out[d], d)
+        for d in range(spec.n_domains)
+        for _ in range(spec.specialists_per_domain)
     ]
-    targets_out = [
-        rng.standard_normal((hidden_dim, ff_dim)) / math.sqrt(ff_dim)
-        for _ in range(spec.n_domains)
-    ]
+    bases += [(np.mean(targets_in, axis=0), np.mean(targets_out, axis=0), -1)] * spec.n_generalists
 
     noise = spec.duplicate_noise
-    experts: list[ExpertTransform] = []
-    specialist_domain: list[int] = []
-    for d in range(spec.n_domains):
-        for _ in range(spec.specialists_per_domain):
-            w_in = targets_in[d] + noise * rng.standard_normal((ff_dim, hidden_dim)) / math.sqrt(hidden_dim)
-            w_out = targets_out[d] + noise * rng.standard_normal((hidden_dim, ff_dim)) / math.sqrt(ff_dim)
-            experts.append(ExpertTransform(w_in, w_out))
-            specialist_domain.append(d)
-    mean_in = np.mean(targets_in, axis=0)
-    mean_out = np.mean(targets_out, axis=0)
-    for _ in range(spec.n_generalists):
-        w_in = mean_in + noise * rng.standard_normal((ff_dim, hidden_dim)) / math.sqrt(hidden_dim)
-        w_out = mean_out + noise * rng.standard_normal((hidden_dim, ff_dim)) / math.sqrt(ff_dim)
-        experts.append(ExpertTransform(w_in, w_out))
-        specialist_domain.append(-1)
-
+    experts = [
+        ExpertTransform(w_in + gaussian(w_in.shape, noise), w_out + gaussian(w_out.shape, noise))
+        for w_in, w_out, _ in bases
+    ]
     directions = centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
-    router = np.zeros((spec.n_experts, hidden_dim))
-    for e, d in enumerate(specialist_domain):
-        if d >= 0:
-            router[e] = directions[d]
-        router[e] += noise * rng.standard_normal(hidden_dim) / math.sqrt(hidden_dim)
-
+    router = np.array([
+        (directions[d] if d >= 0 else 0.0) + gaussian((hidden_dim,), noise)
+        for _, _, d in bases
+    ])
     return MoELayer(
         router=router,
         experts=experts,
         top_k=top_k,
-        specialist_domain=np.asarray(specialist_domain, dtype=np.int32),
+        specialist_domain=np.array([d for _, _, d in bases], dtype=np.int32),
     )
-
-
-def _check_compatible(layer: MoELayer, spec: PlantedSpec) -> None:
-    if layer.n_experts != spec.n_experts:
-        raise ValueError(
-            f"layer has {layer.n_experts} experts but spec implies {spec.n_experts}"
-        )
-    if layer.hidden_dim < spec.n_domains:
-        raise ValueError("layer hidden_dim too small for spec's domain count")
 
 
 def generate_calibration(
@@ -260,7 +242,10 @@ def generate_calibration(
     """
     if tokens_per_domain < 1:
         raise ValueError("tokens_per_domain must be >= 1")
-    _check_compatible(layer, spec)
+    if layer.n_experts != spec.n_experts:
+        raise ValueError(
+            f"layer has {layer.n_experts} experts but spec implies {spec.n_experts}"
+        )
 
     rng = np.random.default_rng(seed)
     centroids = domain_centroids(spec, layer.hidden_dim)

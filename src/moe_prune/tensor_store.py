@@ -153,8 +153,6 @@ def _coerce(name: str, array: np.ndarray) -> tuple[np.ndarray, str]:
     tag = _TAGS.get((arr.dtype.kind, arr.dtype.itemsize))
     if tag is None:
         raise ArchiveError(f"array {name!r}: unsupported dtype {arr.dtype}")
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise ArchiveError(f"array {name!r}: non-finite values are not storable")
     return arr.astype(_DTYPES[tag], copy=False), tag
 
 
@@ -166,8 +164,8 @@ def write_archive(
     """Write ``<path>.json`` + ``<path>.bin`` atomically and return the manifest.
 
     Arrays are stored in the given order, little-endian, each at its own
-    dtype (f32, f64, i32 or i64); other dtypes and non-finite values are
-    rejected up front.
+    dtype (f32, f64, i32 or i64) and bit for bit, NaN and infinities
+    included; other dtypes are rejected up front.
     """
     pairs = list(arrays.items()) if isinstance(arrays, Mapping) else list(arrays)
     names = [name for name, _ in pairs]

@@ -5,13 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moe_prune import cli
 from moe_prune.cli import main
-from moe_prune.moe_sim import PlantedSpec, load_cache, load_layer
-from moe_prune.prune import load_plan
+from moe_prune.moe_sim import PlantedSpec, load_cache, load_layer, save_cache, save_layer
+from moe_prune.prune import load_plan, prune_enum
 from moe_prune.tensor_store import read_archive, write_archive
+
+from conftest import make_random_cache, make_random_layer
 
 
 def run(args):
@@ -68,7 +71,25 @@ def test_gen_model_default_has_8_experts(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "config hash:" in printed
     assert "router: [8, 16] f32" in printed
-    assert (tmp_path / "provenance.json").exists()
+    assert (tmp_path / "model.provenance.json").exists()
+
+
+def test_provenance_per_output_in_one_directory(tmp_path):
+    runs = tmp_path / "runs"
+    model, calib = str(runs / "model"), str(runs / "calib")
+    assert run(["gen-model", "--seed", "5", "--out", model]) == 0
+    assert run(["gen-calib", "--model", model, "--seed", "77", "--out", calib]) == 0
+    hashes = set()
+    for prefix, command, seeds in ((model, "gen-model", (5, 2024)),
+                                   (calib, "gen-calib", (1234, 77))):
+        doc = json.loads(Path(prefix + ".provenance.json").read_text())
+        assert doc["command"] == command
+        assert (doc["config"]["model"]["seed"], doc["config"]["calibration"]["seed"]) == seeds
+        assert doc["config_hash"] == cli.config_hash(doc["config"])
+        assert read_archive(prefix)[0].metadata["config_hash"] == doc["config_hash"]
+        hashes.add(doc["config_hash"])
+    assert len(hashes) == 2
+    assert not (runs / "provenance.json").exists()
 
 
 def test_gen_model_hash_stable(tmp_path, capsys):
@@ -213,7 +234,7 @@ def test_prune_m_defaults_to_half_of_r(pipeline, tmp_path):
     assert run(["prune", "--model", model, "--cache", calib,
                 "--method", "mop", "--r", "4", "--out", plan_path]) == 0
     assert load_plan(plan_path).params["m"] == 2
-    provenance = json.loads((tmp_path / "default_m" / "provenance.json").read_text())
+    provenance = json.loads((tmp_path / "default_m" / "plan.provenance.json").read_text())
     assert provenance["config"]["m"] is None
 
 
@@ -229,6 +250,29 @@ def test_prune_enum_auto_exhaustive_diagnostics(pipeline, tmp_path, capsys):
     assert plan.method == "enum_exhaustive"
     assert len(plan.diagnostics["losses"]) == 28  # C(8, 6)
     assert "subsets examined: 28" in capsys.readouterr().out
+
+
+def test_prune_writes_plan_with_nan_losses(tmp_path):
+    # every subset that keeps expert 5 overflows its logits and scores NaN;
+    # the plan keeps those losses, and its archive stores them as they are
+    rng = np.random.default_rng(3)
+    layer = make_random_layer(rng, n=6, hidden=8, ff=16, top_k=2)
+    cache = make_random_cache(rng, layer)
+    layer.router[5] = 3e38
+    model, calib, plan_path = (str(tmp_path / name) for name in ("model", "calib", "plan"))
+    save_layer(layer, model)
+    save_cache(cache, calib)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = prune_enum(cache, layer, 3, mode="exhaustive")
+        assert run(["prune", "--model", model, "--cache", calib, "--method", "enum_exhaustive",
+                    "--r", "3", "--out", plan_path]) == 0
+    got = load_plan(plan_path)
+    assert got.kept == want.kept == [0, 1, 4]
+    assert np.isnan(want.diagnostics["losses"]).sum() == 10
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key in ("subsets", "losses"):
+        assert got.diagnostics[key].tobytes() == want.diagnostics[key].tobytes(), key
+    assert got.diagnostics["best_loss"] == want.diagnostics["best_loss"]
 
 
 def test_invalid_method_usage_error(pipeline, tmp_path, capsys):

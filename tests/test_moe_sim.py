@@ -23,6 +23,7 @@ from moe_prune import (
 )
 from moe_prune import cli, moe_sim
 from moe_prune.moe_sim import _gate, _route_batch, _sorted_kept, forward_subset_batch
+from moe_prune.tensor_store import ArchiveError, read_archive, write_archive
 
 from conftest import make_planted, make_random_cache, make_random_layer
 
@@ -387,6 +388,22 @@ def test_cache_archive_round_trip(tmp_path):
     assert np.array_equal(loaded.outputs_full, calib.outputs_full)
     assert np.array_equal(loaded.gate_probs, calib.gate_probs)
     assert np.array_equal(loaded.source_domain, calib.source_domain)
+
+
+@pytest.mark.parametrize("kind, array", [("layer", "router"), ("cache", "inputs")])
+def test_non_finite_archive_fails_on_load(tmp_path, kind, array):
+    # the archive stores the NaN as given; the layer or cache built from it refuses it
+    spec, layer, calib, _ = make_planted(seed=2, tokens_per_domain=4)
+    save, load, obj = {"layer": (save_layer, load_layer, layer),
+                       "cache": (save_cache, load_cache, calib)}[kind]
+    path = str(tmp_path / kind)
+    save(obj, path)
+    manifest, arrays = read_archive(path)
+    arrays[array][0, 0] = np.nan
+    write_archive(path, arrays, manifest.metadata)
+    with pytest.raises(ArchiveError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"archive {path}: {array} contains non-finite values"
 
 
 # sha256 of the default-config layer archive as written with numpy 2.4; any

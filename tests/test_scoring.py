@@ -22,11 +22,13 @@ from moe_prune import (
     ExpertTransform,
     MoELayer,
     cache_from_inputs,
+    load_plan,
     performance_matrix,
     prune_enum,
     prune_gvp,
     prune_mop,
     reconstruction_loss,
+    save_plan,
 )
 from moe_prune import metrics, moe_sim
 from moe_prune.metrics import _LossScorer
@@ -511,8 +513,9 @@ def test_all_nan_search_fails_by_name(rng, search):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
-def test_finite_loss_wins_over_nan(rng, mode):
-    """Every subset that keeps expert 2 scores NaN; the best finite subset wins."""
+def test_finite_loss_wins_over_nan(rng, tmp_path, mode):
+    """Every subset that keeps expert 2 scores NaN; the best finite subset
+    wins, and the plan, NaN losses included, survives its archive."""
     layer = make_random_layer(rng, n=4)
     cache = make_random_cache(rng, layer)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -527,6 +530,15 @@ def test_finite_loss_wins_over_nan(rng, mode):
         kept_2 = (plan.diagnostics["subsets"] == 2).any(axis=1)
         assert np.array_equal(np.isnan(losses), kept_2)
         assert np.array_equal(losses[~kept_2], want.diagnostics["losses"][~kept_2])
+    save_plan(plan, tmp_path / "plan")
+    loaded = load_plan(tmp_path / "plan")
+    assert (loaded.kept, loaded.provenance) == (plan.kept, plan.provenance)
+    assert loaded.diagnostics.keys() == plan.diagnostics.keys()
+    for key, value in plan.diagnostics.items():
+        if isinstance(value, np.ndarray):
+            assert loaded.diagnostics[key].tobytes() == value.tobytes(), key
+        else:
+            assert loaded.diagnostics[key] == value, key
 
 
 def oracle_first_min(losses):

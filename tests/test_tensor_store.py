@@ -57,12 +57,13 @@ def test_round_trip_bit_exact(tmp_path, rng):
 
 @st.composite
 def storable_arrays(draw):
-    """An array of a storable kind and width, in either byte order, of any shape."""
+    """An array of a storable kind and width, in either byte order, of any
+    shape; a float array may hold NaN and infinities."""
     code = draw(st.sampled_from(["f4", "f8", "i4", "i8"]))
     dtype = np.dtype(draw(st.sampled_from(["<", ">"])) + code)
     elements = None
     if dtype.kind == "f":
-        elements = st.floats(allow_nan=False, allow_infinity=False, width=8 * dtype.itemsize)
+        elements = st.floats(width=8 * dtype.itemsize)
     shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
     return draw(arrays(dtype, shape, elements=elements))
 
@@ -71,6 +72,7 @@ def storable_arrays(draw):
 @given(st.lists(storable_arrays(), max_size=4))
 @example([np.array(2.5, dtype=np.float32), np.zeros((3, 0), dtype=np.int64)])
 @example([np.array([-0.0, 1e300], dtype=">f8"), np.array(-(2**62), dtype=">i8")])
+@example([np.array([np.nan, -np.inf], dtype=">f4"), np.array([np.inf, -np.nan], dtype="<f8")])
 def test_round_trip_every_dtype_and_shape(originals):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a"
@@ -110,11 +112,19 @@ def test_name_collision(tmp_path):
         write_archive(tmp_path / "c", pairs)
 
 
-def test_non_finite_rejected(tmp_path):
-    with pytest.raises(ArchiveError, match="non-finite"):
-        write_archive(tmp_path / "nan", {"x": np.array([1.0, np.nan])})
-    with pytest.raises(ArchiveError, match="non-finite"):
-        write_archive(tmp_path / "inf", {"x": np.array([np.inf])})
+def test_non_finite_round_trips_bit_for_bit(tmp_path):
+    special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 1.0]
+    arrays = {
+        "f32": np.array(special, dtype=np.float32),
+        "f64": np.array(special, dtype=np.float64),
+        # a NaN with a payload other than the default one
+        "payload": np.array([0x7FC00001, 0xFFC0ABCD], dtype=np.uint32).view(np.float32),
+    }
+    write_archive(tmp_path / "special", arrays)
+    _, loaded = read_archive(tmp_path / "special")
+    for name, original in arrays.items():
+        assert loaded[name].dtype == original.dtype
+        assert loaded[name].tobytes() == original.tobytes(), name
     # f64 values beyond the f32 range are stored as they are
     write_archive(tmp_path / "big", {"x": np.array([1e40])})
     assert read_archive(tmp_path / "big")[1]["x"].tolist() == [1e40]

@@ -1,4 +1,5 @@
-"""Run a fixed catalogue of one-line mutants of the bit-exact kernels against tier-1.
+"""Run a fixed catalogue of one-line mutants against tier-1: mutants of the
+bit-exact kernels and of the checks that name bad inputs.
 
 Each mutant replaces one exact fragment of one line in one file of
 ``src/moe_prune``. It is applied to a fresh copy of the repository in a
@@ -87,6 +88,9 @@ MUTANTS = {
     "reconstruction-loss-unchecked": (
         "metrics.py", "idx = _sorted_kept(kept, layer.n_experts)", "idx = list(kept)",
     ),
+    "planted-spec-negative-generalists": ("moe_sim.py", "if self.n_generalists < 0:", "if False:"),
+    "kmeans-accepts-1d": ("cluster.py", "if pts.ndim != 2:", "if False:"),
+    "coverage-no-planted-check": ("evaluation.py", "if not planted:", "if False:"),
 }
 
 
