@@ -10,6 +10,8 @@ Submodules load lazily so the command-line entry point can cap BLAS
 threads (MOP_THREADS) before numpy is first imported.
 """
 
+import contextlib
+import os
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -22,10 +24,35 @@ METHODS = ("random", "frequency", "enum_exhaustive", "enum_greedy", "gvp", "mop"
 # for the same reason as METHODS, and not exported.
 DEFAULT_SUBSET_BUDGET = 100_000
 
+
+@contextlib.contextmanager
+def _staged(directory):
+    """A fresh private directory in `directory` (which must exist) to write into.
+
+    When the block succeeds, its files are renamed into `directory` in name
+    order: ``X.bin`` before ``X.json``, ``plan.diag.*`` before ``plan.json``.
+    If a rename fails, the files already renamed are removed. The stage is
+    always removed. Here for the same reason as METHODS: `report` uses it.
+    """
+    stage = os.path.join(directory, f".moe-prune-{os.getpid()}-{os.urandom(6).hex()}")
+    os.mkdir(stage, 0o700)
+    renamed = []  # files committed so far, removed again if the commit fails
+    try:
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(directory, name))
+            renamed.append(os.path.join(directory, name))
+        renamed = []  # committed in full
+    finally:
+        for path in renamed + [os.path.join(stage, name) for name in os.listdir(stage)]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        os.rmdir(stage)
+
+
 _EXPORTS = {
     "tensor_store": [
         "ArchiveError",
-        "Manifest",
         "read_archive",
         "write_archive",
     ],
@@ -51,7 +78,6 @@ _EXPORTS = {
         "variability_scores",
     ],
     "cluster": [
-        "ExpertPartition",
         "kmeans",
         "similarity_matrix",
         "spearman_rho",

@@ -4,9 +4,11 @@ Each stage reads/writes tensor-store archives so runs are cacheable and
 independently re-runnable. A JSON config file supplies defaults; flags
 win over the config. Every archive or plan ``<out>`` gets an
 ``<out>.provenance.json``, and every eval directory a ``provenance.json``,
-recording the effective config, seeds, and tool version. On failure or
-interrupt the files written by the failing command are removed and the
-exit status is nonzero. The MOP_THREADS environment variable caps BLAS
+recording the effective config, seeds, and tool version. Each command
+writes its files into a staging directory beside its outputs and renames
+them into place only once all are written, so a command that fails or is
+interrupted before then changes no existing file; its exit status is
+nonzero. The MOP_THREADS environment variable caps BLAS
 parallelism (it must be set before numpy is first imported, which the
 console entry point guarantees).
 """
@@ -14,12 +16,13 @@ console entry point guarantees).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 
-from . import DEFAULT_SUBSET_BUDGET, METHODS
+from . import DEFAULT_SUBSET_BUDGET, METHODS, _staged
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -112,27 +115,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-class _Outputs:
-    """Tracks files written by one command so failures leave nothing behind."""
-
-    def __init__(self) -> None:
-        self.paths: list[str] = []
-
-    def track(self, *paths: str) -> None:
-        self.paths.extend(paths)
-
-    def track_archive(self, prefix: str) -> None:
-        self.track(prefix + ".json", prefix + ".bin")
-
-    def discard_all(self) -> None:
-        for path in self.paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-
-
-def _write_provenance(path: str, command: str, config: dict, outputs: _Outputs) -> None:
+def _write_provenance(path: str, command: str, config: dict) -> None:
     from . import __version__
 
     doc = {
@@ -142,13 +125,17 @@ def _write_provenance(path: str, command: str, config: dict, outputs: _Outputs) 
         "config": config,
         "config_hash": config_hash(config),
     }
-    outputs.track(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _ensure_parent_dir(prefix: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
+@contextlib.contextmanager
+def _staged_out(prefix: str):
+    """`prefix`'s basename inside a stage in its directory, made if missing."""
+    directory, name = os.path.split(os.path.abspath(prefix))
+    os.makedirs(directory, exist_ok=True)
+    with _staged(directory) as stage:
+        yield os.path.join(stage, name)
 
 
 def _planted_spec(model_cfg: dict):
@@ -157,19 +144,18 @@ def _planted_spec(model_cfg: dict):
     return PlantedSpec(**{f.name: model_cfg[f.name] for f in dataclasses.fields(PlantedSpec)})
 
 
-def _save_generated(args, config: dict, outputs: _Outputs, save, obj, metadata: dict) -> int:
+def _save_generated(args, config: dict, save, obj, metadata: dict) -> int:
     """The tail of gen-model and gen-calib: write the archive and its provenance."""
-    _ensure_parent_dir(args.out)
-    outputs.track_archive(args.out)
-    manifest = save(obj, args.out, {"config_hash": config_hash(config), **metadata})
-    _write_provenance(args.out + ".provenance.json", args.command, config, outputs)
+    with _staged_out(args.out) as out:
+        manifest = save(obj, out, {"config_hash": config_hash(config), **metadata})
+        _write_provenance(out + ".provenance.json", args.command, config)
     print(f"config hash: {config_hash(config)}")
     for entry in manifest.arrays:
         print(f"  {entry.name}: {list(entry.shape)} {entry.dtype}")
     return 0
 
 
-def cmd_gen_model(args: argparse.Namespace, outputs: _Outputs) -> int:
+def cmd_gen_model(args: argparse.Namespace) -> int:
     from .moe_sim import generate_layer, save_layer
 
     config = load_config(args.config)
@@ -183,10 +169,10 @@ def cmd_gen_model(args: argparse.Namespace, outputs: _Outputs) -> int:
         ff_dim=config["model"]["ff_dim"],
         top_k=config["model"]["top_k"],
     )
-    return _save_generated(args, config, outputs, save_layer, layer, {})
+    return _save_generated(args, config, save_layer, layer, {})
 
 
-def cmd_gen_calib(args: argparse.Namespace, outputs: _Outputs) -> int:
+def cmd_gen_calib(args: argparse.Namespace) -> int:
     from .moe_sim import generate_calibration, load_layer, save_cache
 
     config = load_config(args.config)
@@ -202,11 +188,11 @@ def cmd_gen_calib(args: argparse.Namespace, outputs: _Outputs) -> int:
         layer, spec, tokens_per_domain=section["tokens_per_domain"], seed=section["seed"]
     )
     return _save_generated(
-        args, config, outputs, save_cache, cache, {"role": args.role, "seed": str(section["seed"])}
+        args, config, save_cache, cache, {"role": args.role, "seed": str(section["seed"])}
     )
 
 
-def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
+def cmd_prune(args: argparse.Namespace) -> int:
     from .moe_sim import load_cache, load_layer
     from .prune import PROVENANCE_TAGS, prune_with_method, save_plan
 
@@ -216,12 +202,9 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
         name: getattr(args, name) for name in ("method", "r", "m", "seed", "kmeans_seed", "budget")
     }
     plan = prune_with_method(cache, layer, **params)
-    _ensure_parent_dir(args.out)
-    if plan.diagnostics:
-        outputs.track_archive(args.out + ".diag")
-    outputs.track(args.out + ".json")
-    save_plan(plan, args.out)
-    _write_provenance(args.out + ".provenance.json", "prune", params, outputs)
+    with _staged_out(args.out) as out:
+        save_plan(plan, out)
+        _write_provenance(out + ".provenance.json", "prune", params)
     print(f"method: {plan.method}")
     print(f"kept: {plan.kept}")
     for tag in PROVENANCE_TAGS:
@@ -233,8 +216,8 @@ def cmd_prune(args: argparse.Namespace, outputs: _Outputs) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
-    from .evaluation import _heatmap_paths, evaluate_plan, export_heatmap_csv, report_to_csv
+def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate_plan, export_heatmap_csv, report_to_csv
     from .moe_sim import load_cache, load_layer
     from .prune import load_plan
 
@@ -242,16 +225,13 @@ def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
     plan = load_plan(args.plan)
     heldout = load_cache(args.heldout)
     report = evaluate_plan(layer, plan, heldout)
-    os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "report.csv")
-    outputs.track(report_path)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_csv(report))
-    heatmap = os.path.join(args.out, "heatmap")
-    outputs.track(*_heatmap_paths(report, heatmap))
-    export_heatmap_csv(report, heatmap)
     inputs = {name: os.path.basename(getattr(args, name)) for name in ("model", "plan", "heldout")}
-    _write_provenance(os.path.join(args.out, "provenance.json"), "eval", inputs, outputs)
+    os.makedirs(args.out, exist_ok=True)
+    with _staged(args.out) as stage:
+        with open(os.path.join(stage, "report.csv"), "w", encoding="utf-8") as fh:
+            fh.write(report_to_csv(report))
+        export_heatmap_csv(report, os.path.join(stage, "heatmap"))
+        _write_provenance(os.path.join(stage, "provenance.json"), "eval", inputs)
     print(f"method: {report.method}")
     print(f"overall loss: {report.overall_loss:.6f}")
     print(f"worst-domain loss: {report.worst_domain_loss:.6f}")
@@ -260,7 +240,7 @@ def cmd_eval(args: argparse.Namespace, outputs: _Outputs) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace, outputs: _Outputs) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for root, _dirs, files in sorted(os.walk(args.dir)):
         if "report.csv" in files:
@@ -282,9 +262,7 @@ def cmd_report(args: argparse.Namespace, outputs: _Outputs) -> int:
     lines = [header] + [f"{name},{body}" for name, _head, body, _path in sorted(rows)]
     table = "\n".join(lines) + "\n"
     if args.out:
-        _ensure_parent_dir(args.out)
-        outputs.track(args.out)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _staged_out(args.out) as out, open(out, "w", encoding="utf-8") as fh:
             fh.write(table)
     print(table, end="")
     return 0
@@ -344,13 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs = _Outputs()
     try:
-        return args.func(args, outputs)
-    except BaseException as exc:  # Ctrl-C too leaves no half-written outputs
-        outputs.discard_all()
-        if not isinstance(exc, (ConfigError, ValueError, OSError, KeyError)):
-            raise
+        return args.func(args)
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

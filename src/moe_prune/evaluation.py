@@ -159,13 +159,9 @@ def comparison_to_text(rows: list[dict]) -> str:
 # exports
 
 
-def _heatmap_paths(report: EvalReport, path_prefix: str | os.PathLike) -> list[str]:
-    return [f"{os.fspath(path_prefix)}_domain{d}.csv" for d in range(report.heatmap.shape[0])]
-
-
 def export_heatmap_csv(report: EvalReport, path_prefix: str | os.PathLike) -> list[str]:
     """One CSV per domain: one row (layer 0), columns the retained experts."""
-    written = _heatmap_paths(report, path_prefix)
+    written = [f"{os.fspath(path_prefix)}_domain{d}.csv" for d in range(len(report.heatmap))]
     header = "layer," + ",".join(f"expert_{i}" for i in report.kept)
     for out, row in zip(written, report.heatmap):
         with open(out, "w", encoding="utf-8") as fh:

@@ -127,6 +127,12 @@ class PlantedSpec:
     def n_experts(self) -> int:
         return self.n_domains * self.specialists_per_domain + self.n_generalists
 
+    @property
+    def planted_domains(self) -> list[int]:
+        """Each expert's planted domain, in layer order; -1 for a generalist."""
+        specialists = [d for d in range(self.n_domains) for _ in range(self.specialists_per_domain)]
+        return specialists + [-1] * self.n_generalists
+
 
 @dataclass
 class CalibrationCache:
@@ -208,12 +214,10 @@ def generate_layer(
     targets_out = [gaussian((hidden_dim, ff_dim)) for _ in range(spec.n_domains)]
     # (base w_in, base w_out, planted domain) of each expert: the domain's
     # target for a specialist, the targets' mean for a generalist (-1)
+    means = (np.mean(targets_in, axis=0), np.mean(targets_out, axis=0), -1)
     bases = [
-        (targets_in[d], targets_out[d], d)
-        for d in range(spec.n_domains)
-        for _ in range(spec.specialists_per_domain)
+        (targets_in[d], targets_out[d], d) if d >= 0 else means for d in spec.planted_domains
     ]
-    bases += [(np.mean(targets_in, axis=0), np.mean(targets_out, axis=0), -1)] * spec.n_generalists
 
     noise = spec.duplicate_noise
     experts = [
@@ -229,7 +233,7 @@ def generate_layer(
         router=router,
         experts=experts,
         top_k=top_k,
-        specialist_domain=np.array([d for _, _, d in bases], dtype=np.int32),
+        specialist_domain=np.array(spec.planted_domains, dtype=np.int32),
     )
 
 
@@ -242,6 +246,11 @@ def generate_calibration(
     """
     if tokens_per_domain < 1:
         raise ValueError("tokens_per_domain must be >= 1")
+    planted = None if layer.specialist_domain is None else layer.specialist_domain.tolist()
+    if planted is not None and planted != spec.planted_domains:
+        raise ValueError(
+            f"layer plants its experts in domains {planted} but spec implies {spec.planted_domains}"
+        )
     if layer.n_experts != spec.n_experts:
         raise ValueError(
             f"layer has {layer.n_experts} experts but spec implies {spec.n_experts}"

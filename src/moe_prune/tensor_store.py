@@ -19,6 +19,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import _staged
+
 FORMAT_VERSION = 1
 
 _DTYPES = {
@@ -189,24 +191,15 @@ def write_archive(
     )
     manifest.validate(offset)
 
-    # Both files are written under temporary names in the target directory
-    # and renamed into place, the manifest last, so no manifest names a blob
-    # that is not complete, and a failed write removes its temporary files.
-    path = os.fspath(path)
-    staged = {suffix: f"{path}{suffix}.{os.getpid()}.tmp" for suffix in (".bin", ".json")}
-    try:
-        with open(staged[".bin"], "wb") as fh:
+    # Both files are written in a stage beside `path` and committed blob
+    # first, so no manifest names a blob that is not complete.
+    directory, name = os.path.split(os.path.abspath(path))
+    with _staged(directory) as stage:
+        with open(os.path.join(stage, name + ".bin"), "wb") as fh:
             for raw in chunks:
                 fh.write(raw)
-        with open(staged[".json"], "w", encoding="utf-8") as fh:
+        with open(os.path.join(stage, name + ".json"), "w", encoding="utf-8") as fh:
             fh.write(manifest.to_json())
-        for suffix, tmp in staged.items():
-            os.replace(tmp, path + suffix)
-    except BaseException:
-        for tmp in staged.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
     return manifest
 
 

@@ -13,7 +13,6 @@ import pytest
 from moe_prune import (
     CalibrationCache,
     ExpertTransform,
-    Manifest,
     MoELayer,
     PerformanceMatrix,
     PlantedSpec,
@@ -25,7 +24,7 @@ from moe_prune import (
 )
 from moe_prune.cluster import SimilarityMatrix
 from moe_prune.evaluation import _coverage
-from moe_prune.tensor_store import ArrayEntry
+from moe_prune.tensor_store import ArrayEntry, Manifest
 
 from conftest import make_random_cache, make_random_layer
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moe_prune import cli
+from moe_prune import cli, evaluation
+from moe_prune import prune as prune_module
 from moe_prune.cli import main
 from moe_prune.moe_sim import PlantedSpec, load_cache, load_layer, save_cache, save_layer
 from moe_prune.prune import load_plan, prune_enum
@@ -413,6 +415,94 @@ def test_interrupt_removes_written_archive(tmp_path, monkeypatch):
         run(["gen-model", "--out", out])
     assert not os.path.exists(out + ".json")
     assert not os.path.exists(out + ".bin")
+
+
+def _snapshot(root):
+    """Every path under `root`: a file's bytes, None for a directory."""
+    tree = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            tree[os.path.relpath(os.path.join(dirpath, name), root)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            tree[os.path.relpath(path, root)] = Path(path).read_bytes()
+    return tree
+
+
+def _committed(root):
+    """`_snapshot(root)`, checked to hold no staging directory."""
+    tree = _snapshot(root)
+    assert not [path for path in tree if ".moe-prune-" in path]
+    return tree
+
+
+def _prune(model, calib, r, out):
+    return run(["prune", "--model", model, "--cache", calib, "--method", "mop",
+                "--r", str(r), "--out", out])
+
+
+def test_failed_plan_rerun_keeps_earlier_plan(pipeline, tmp_path, monkeypatch, capsys):
+    config, model, calib, heldout = pipeline
+    plan = str(tmp_path / "p")
+    assert _prune(model, calib, 4, plan) == 0
+    before = _committed(tmp_path)
+    real_save_plan = prune_module.save_plan
+
+    def save_plan_then_full_disk(plan, path):
+        real_save_plan(plan, path)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(prune_module, "save_plan", save_plan_then_full_disk)
+    assert _prune(model, calib, 3, plan) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+def test_interrupted_plan_rerun_keeps_earlier_plan(pipeline, tmp_path, monkeypatch):
+    config, model, calib, heldout = pipeline
+    plan = str(tmp_path / "p")
+    assert _prune(model, calib, 4, plan) == 0
+    before = _committed(tmp_path)
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_provenance", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _prune(model, calib, 3, plan)
+    assert _snapshot(tmp_path) == before
+
+
+def test_failed_eval_rerun_keeps_earlier_report(pipeline, tmp_path, monkeypatch, capsys):
+    config, model, calib, heldout = pipeline
+    plan, out = str(tmp_path / "p"), str(tmp_path / "eval")
+    assert _prune(model, calib, 4, plan) == 0
+    argv = ["eval", "--model", model, "--plan", plan, "--heldout", heldout, "--out", out]
+    assert run(argv) == 0
+    assert run(["report", "--dir", out, "--out", str(tmp_path / "summary.csv")]) == 0
+    assert _prune(model, calib, 3, plan) == 0  # a new plan, so a rerun changes the report
+    before = _committed(tmp_path)
+
+    def first_file_then_full_disk(report, path_prefix):
+        Path(f"{path_prefix}_domain0.csv").write_text("layer\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(evaluation, "export_heatmap_csv", first_file_then_full_disk)
+    assert run(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+def test_calibration_spec_with_other_planted_domains_rejected(tmp_path, capsys):
+    # 2 x 3 + 2 and the default 3 x 2 + 2 both have 8 experts
+    model, calib = str(tmp_path / "model"), str(tmp_path / "calib")
+    assert run(["gen-model", "--out", model]) == 0
+    config = write_config(tmp_path, model={"n_domains": 2, "specialists_per_domain": 3})
+    capsys.readouterr()
+    assert run(["gen-calib", "--config", config, "--model", model, "--out", calib]) == 1
+    err = capsys.readouterr().err
+    assert "[0, 0, 1, 1, 2, 2, -1, -1]" in err and "[0, 0, 0, 1, 1, 1, -1, -1]" in err
+    assert not os.path.exists(calib + ".json")
 
 
 def test_missing_router_array_named(pipeline, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Run a fixed catalogue of one-line mutants against tier-1: mutants of the
-bit-exact kernels and of the checks that name bad inputs.
+bit-exact kernels, of the checks that name bad inputs and of the staged
+commit that every written file goes through.
 
 Each mutant replaces one exact fragment of one line in one file of
 ``src/moe_prune``. It is applied to a fresh copy of the repository in a
@@ -91,6 +92,13 @@ MUTANTS = {
     "planted-spec-negative-generalists": ("moe_sim.py", "if self.n_generalists < 0:", "if False:"),
     "kmeans-accepts-1d": ("cluster.py", "if pts.ndim != 2:", "if False:"),
     "coverage-no-planted-check": ("evaluation.py", "if not planted:", "if False:"),
+    # the staged commit every written file goes through
+    "stage-no-rollback": (
+        "__init__.py", "renamed.append(os.path.join(directory, name))", "pass",
+    ),
+    "stage-left-on-failure": (
+        "__init__.py", "for name in os.listdir(stage)]", "for name in []]",
+    ),
 }
 
 
