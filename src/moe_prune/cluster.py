@@ -65,11 +65,10 @@ class ExpertPartition:
 # k-means
 #
 # Each `kmeans` call builds one working set, which all its restarts share: the
-# float64 points, their squared norms and norms, and one scratch array of the
-# points' shape for the kernels (the k-means++ distances, the repair's
-# direct-form distances, the centroid sums and the WCSS).
-# `np.take(..., mode="clip")` writes into it directly, where mode "raise"
-# goes through a buffer; every index taken is in range.
+# float64 points, their squared norms and norms, the k-means++ `slack`, and one
+# scratch array of the points' shape for the direct-form kernels (k-means++'s
+# close calls, the repair, the centroid sums, the WCSS). Every index taken is in
+# range, so `np.take(..., mode="clip")` writes there directly ("raise" buffers).
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -87,27 +86,63 @@ def _sq_dists_to(points: np.ndarray, centroid: np.ndarray, scratch: np.ndarray) 
     return scratch.sum(axis=1)
 
 
+def _draw(d2: np.ndarray, total: float, u: float, margin: float = 0.0) -> int:
+    """`Generator.choice(d2.size, p=d2 / total)` given the one double `u` it draws,
+    or -1 unless `u` lies in its slot shrunk by `margin` at both ends."""
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    pick = int(cdf.searchsorted(u, side="right"))
+    low = cdf[pick - 1] if pick else 0.0
+    return pick if low + margin <= u < cdf[pick] - margin else -1
+
+
 def _kmeanspp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator, scratch: np.ndarray
+    points: np.ndarray, sq_norms: np.ndarray, slack: float, k: int,
+    rng: np.random.Generator, scratch: np.ndarray,
 ) -> np.ndarray:
+    """k-means++ centres: each pick is `Generator.choice(n, p=d2 / d2.sum())`'s
+    from the same draw, d2 being `_sq_dists_to` from each point to its nearest
+    centre so far. d2 is kept in the product form, clamped at 0, within b/2 of
+    that per row (`_assign`'s b, summed in `slack`), so the two forms'
+    normalised cumulative sums differ by at most slack / (2 total) plus their
+    rounding. A pick stands if slack < total < 2^1022 (so the direct total is
+    positive and finite) and `u` lies in its slot shrunk by slack / total +
+    (n + 4) 2^-51. Otherwise the direct form decides, with `u` if drawn.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[rng.integers(n)]
-    d2 = _sq_dists_to(points, centroids[0], scratch)
+    pick = int(rng.integers(n))
+    centroids[0] = points[pick]
+    d2 = np.full(n, np.inf)
     for j in range(1, k):
-        total = d2.sum()
-        if not np.isfinite(total):
-            raise ValueError("k-means++: squared distances between the points overflow float64")
-        if total > 0:
-            pick = rng.choice(n, p=d2 / total)
-        else:
-            pick = int(rng.integers(n))  # all remaining points coincide
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
+            row = np.dot(points, -2.0 * centroids[j - 1])
+            row += sq_norms
+            row += sq_norms[pick]
+            np.minimum(d2, np.maximum(row, 0.0, out=row), out=d2)
+            total = d2.sum()
+        u = rng.random() if slack < total < 2.0**1022 else None
+        pick = -1 if u is None else _draw(d2, total, u, slack / total + (n + 4) * 2.0**-51)
+        if pick < 0:  # the direct form decides, computed in `scratch`
+            exact = _sq_dists_to(points, centroids[0], scratch)
+            for centroid in centroids[1:j]:
+                np.minimum(exact, _sq_dists_to(points, centroid, scratch), out=exact)
+            total = exact.sum()
+            if not np.isfinite(total):  # only where no `u` was drawn
+                raise ValueError("k-means++: squared distances between the points overflow float64")
+            u = rng.random() if u is None and total > 0 else u
+            pick = int(rng.integers(n)) if u is None else _draw(exact, total, u)  # u None: total 0
         centroids[j] = points[pick]
-        np.minimum(d2, _sq_dists_to(points, centroids[j], scratch), out=d2)
     return centroids
 
 
 _Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # labels, upper and lower bounds
+
+
+def _bound(norms: np.ndarray, reach: float, d: int) -> tuple[float, np.ndarray]:
+    """4 g_(d+4), and per row `_assign`'s b for centroids no longer than `reach`."""
+    widen = 4.0 * (d + 4) * 2.0**-53 / (1.0 - (d + 4) * 2.0**-53)  # 4 g_(d+4)
+    return widen, widen * (norms + reach) * (norms + reach) + (d + 4) * 2.0**-1070
 
 
 def _assign(
@@ -147,11 +182,9 @@ def _assign(
     other rows, decides it, with the bounds inf and 0.
     """
     n, d = points.shape
-    widen = 4.0 * (d + 4) * 2.0**-53 / (1.0 - (d + 4) * 2.0**-53)  # 4 g_(d+4)
-    hi, lo = 1.0 + widen, 1.0 - widen
     c2 = (centroids * centroids).sum(axis=1)
-    reach = norms + np.sqrt(c2.max())
-    bound = widen * reach * reach + (d + 4) * 2.0**-1070
+    widen, bound = _bound(norms, np.sqrt(c2.max()), d)
+    hi, lo = 1.0 + widen, 1.0 - widen
     if moved is not None:
         previous, (labels, upper, lower) = moved
         moves = np.sqrt((((centroids - previous) ** 2).sum(axis=1) + d * 2.0**-1074) * hi) * hi
@@ -277,12 +310,13 @@ def _lloyd(
     pts: np.ndarray,
     sq_norms: np.ndarray,
     norms: np.ndarray,
+    slack: float,
     scratch: np.ndarray,
     k: int,
     max_iters: int,
     rng: np.random.Generator,
 ) -> DomainLabeling:
-    centroids = _kmeanspp_init(pts, k, rng, scratch)
+    centroids = _kmeanspp_init(pts, sq_norms, slack, k, rng, scratch)
     nearest, _ = _assign_with_repair(pts, sq_norms, norms, centroids, scratch)
     labels = nearest[0]
     changed = np.ones(k, dtype=bool)  # the k-means++ centroids are no cluster's mean
@@ -331,11 +365,12 @@ def kmeans(
 
     sq_norms = (pts * pts).sum(axis=1)
     norms = np.sqrt(sq_norms)
+    slack = float(_bound(norms, norms.max(), pts.shape[1])[1].sum())
     scratch = np.empty_like(pts)
     rng = np.random.default_rng(seed)
     best: DomainLabeling | None = None
     for _ in range(n_init):
-        candidate = _lloyd(pts, sq_norms, norms, scratch, k, max_iters, rng)
+        candidate = _lloyd(pts, sq_norms, norms, slack, scratch, k, max_iters, rng)
         if best is None or candidate.wcss < best.wcss:
             best = candidate
     assert best is not None

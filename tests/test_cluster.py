@@ -568,7 +568,7 @@ def check_kmeans(points, k, seed, max_iters, n_init, start=None):
         got = outcome(kmeans, *args)
     else:
         want = outcome(oracle_kmeans, *args, lambda p, k, rng: start.copy())
-        with mock.patch.object(cluster, "_kmeanspp_init", lambda p, k, rng, s: start.copy()):
+        with mock.patch.object(cluster, "_kmeanspp_init", lambda *_: start.copy()):
             got = outcome(kmeans, *args)
     if isinstance(want, str):
         assert got == want
@@ -674,11 +674,20 @@ def labeled_points(draw):
     labels = rng.integers(0, k, n)
     labels[rng.permutation(n)[:k]] = np.arange(k)
     scale = draw(st.sampled_from([1.0, 1e-160, 1e150, 1e160]))
-    offset = draw(st.sampled_from([0.0, 1e6, 3e8]))
+    # 1e4 + N(0, 1) to 3e6 + N(0, 1) certify k-means++ totals but leave close
+    # calls to the direct form; at 3e8 no total is certified
+    offset = draw(st.sampled_from([0.0, 1e4, 1e6, 3e6, 3e8]))
     points = rng.standard_normal((n, d)) * scale + offset
     if draw(st.booleans()):
         points = np.round(points)  # ties and duplicates
     return points, labels, k
+
+
+def kmeanspp_working_set(points):
+    """The points, squared norms and slack that `kmeans` hands k-means++."""
+    sq_norms = (points * points).sum(axis=1)
+    norms = np.sqrt(sq_norms)
+    return points, sq_norms, float(cluster._bound(norms, norms.max(), points.shape[1])[1].sum())
 
 
 def fresh_group_means(points, labels, k, scratch):
@@ -702,12 +711,93 @@ def test_cluster_kernels_match_direct_formulas(points_labels, seed):
         centroid = points[seed % points.shape[0]]
         assert cluster._sq_dists_to(points, centroid, scratch).tobytes() == (
             ((points - centroid) ** 2).sum(axis=1).tobytes())
-        got = outcome(cluster._kmeanspp_init, points, k, np.random.default_rng(seed), scratch)
+        got = outcome(cluster._kmeanspp_init, *kmeanspp_working_set(points), k,
+                      np.random.default_rng(seed), scratch)
         want = outcome(oracle_kmeanspp, points, k, np.random.default_rng(seed))
     if isinstance(want, str):
         assert got == want
     else:
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def sampling_weights(draw):
+    """Nonnegative weights with zeros, ties and a wide range, as k-means++ draws over."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    weights = rng.random(n) ** draw(st.sampled_from([1, 4, 40])) * draw(
+        st.sampled_from([1e-300, 1.0, 1e300]))
+    if draw(st.booleans()):
+        weights = np.round(weights * 4.0) / 4.0  # zeros and ties
+    weights[rng.integers(n)] += draw(st.sampled_from([1e-300, 1.0, 1e300]))  # total > 0
+    return weights
+
+
+@settings(deadline=None, max_examples=300)
+@given(sampling_weights(), st.integers(0, 2**32 - 1))
+def test_choice_is_one_draw_searched_in_the_cumulative_sum(weights, seed):
+    """On the installed numpy, `Generator.choice(n, p=p)` takes one double u
+    from the generator and returns `searchsorted(cumsum(p) / cdf[-1], u,
+    "right")`: `_draw` without a margin, which k-means++'s close calls rely on."""
+    total = weights.sum()
+    by_choice, by_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+    pick = by_choice.choice(weights.size, p=weights / total)
+    assert cluster._draw(weights, total, by_draw.random()) == pick
+    assert by_choice.bit_generator.state == by_draw.bit_generator.state
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_draw_keeps_only_picks_clear_of_the_margin(end):
+    """The slots of d2 = [1, 1, 2] are [0, 1/4), [1/4, 1/2) and [1/2, 1); with
+    margin m, u = 1/4 + m and the double below 1/2 - m stand for slot 1, the
+    double below 1/4 + m and u = 1/2 - m do not."""
+    d2, margin = np.array([1.0, 1.0, 2.0]), 2.0**-10
+    inside = 0.25 + margin if end == "low" else np.nextafter(0.5 - margin, 0.0)
+    outside = np.nextafter(0.25 + margin, 0.0) if end == "low" else 0.5 - margin
+    assert cluster._draw(d2, 4.0, inside) == cluster._draw(d2, 4.0, outside) == 1
+    assert cluster._draw(d2, 4.0, inside, margin) == 1
+    assert cluster._draw(d2, 4.0, outside, margin) == -1
+
+
+class FixedDraws:
+    """A generator that draws `first` from `integers` and `u` from `random`;
+    its `choice` is the rule `test_choice_is_one_draw_searched_in_the_cumulative_sum`
+    pins."""
+
+    def __init__(self, first, u):
+        self.first, self.u = first, u
+
+    def integers(self, n):
+        return self.first
+
+    def random(self):
+        return self.u
+
+    def choice(self, n, p):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(self.random(), side="right")
+
+
+def test_kmeanspp_close_call_takes_the_direct_form():
+    """At 1e6 + N(0, 1) the product-form distances are off by about 1e-4, so
+    the two forms' cumulative sums part at some slot boundary while the total
+    is still certified. A u between them picks different points in the two
+    forms; k-means++ must pick the direct form's."""
+    points, sq_norms, slack = kmeanspp_working_set(
+        1e6 + np.random.default_rng(0).standard_normal((64, 1)))
+    direct = ((points - points[0]) ** 2).sum(axis=1)
+    product = np.maximum(sq_norms - 2.0 * (points @ points[0]) + sq_norms[0], 0.0)
+    assert slack < product.sum()
+    cdfs = [np.cumsum(d2 / d2.sum()) for d2 in (direct, product)]
+    cdfs = [cdf / cdf[-1] for cdf in cdfs]
+    u = np.minimum(*cdfs)[np.flatnonzero(cdfs[0] != cdfs[1])[0]]
+    picks = [cdf.searchsorted(u, side="right") for cdf in cdfs]
+    assert picks[0] != picks[1]
+    want = oracle_kmeanspp(points, 2, FixedDraws(0, u))
+    got = cluster._kmeanspp_init(points, sq_norms, slack, 2, FixedDraws(0, u),
+                                 np.empty_like(points))
+    assert got.tobytes() == want.tobytes() == points[[0, picks[0]]].tobytes()
 
 
 @settings(deadline=None, max_examples=200)

@@ -55,13 +55,22 @@ MUTANTS = {
     ),
     "ward-no-nan-check": ("cluster.py", "if np.isnan(cost):", "if False:"),
     "kmeanspp-no-overflow-check": ("cluster.py", "if not np.isfinite(total):", "if False:"),
+    # k-means++ keeps a product-form pick only when the draw is clear of the margin
+    "kmeanspp-never-falls-back": (
+        "cluster.py", "return pick if low + margin <= u < cdf[pick] - margin else -1",
+        "return pick",
+    ),
+    "kmeanspp-margin-0": (
+        "cluster.py", "_draw(d2, total, u, slack / total + (n + 4) * 2.0**-51)",
+        "_draw(d2, total, u, 0.0)",
+    ),
     "assign-widen-0": (
         "cluster.py", "widen = 4.0 * (d + 4) * 2.0**-53 / (1.0 - (d + 4) * 2.0**-53)",
         "widen = 0.0",
     ),
     "assign-bound-no-underflow-term": (
-        "cluster.py", "bound = widen * reach * reach + (d + 4) * 2.0**-1070",
-        "bound = widen * reach * reach",
+        "cluster.py", "(norms + reach) * (norms + reach) + (d + 4) * 2.0**-1070",
+        "(norms + reach) * (norms + reach)",
     ),
     "assign-moves-no-underflow-term": (
         "cluster.py", ".sum(axis=1) + d * 2.0**-1074)", ".sum(axis=1))",
