@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _staged
 from .metrics import _check_cache_layer, _domain_errors, _domains
 from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
 from .prune import PruningPlan, prune_with_method
@@ -160,14 +161,16 @@ def comparison_to_text(rows: list[dict]) -> str:
 
 
 def export_heatmap_csv(report: EvalReport, path_prefix: str | os.PathLike) -> list[str]:
-    """One CSV per domain: one row (layer 0), columns the retained experts."""
-    written = [f"{os.fspath(path_prefix)}_domain{d}.csv" for d in range(len(report.heatmap))]
+    """One CSV per domain: one row (layer 0), columns the retained experts.
+    They are committed at once: an export that fails changes no file."""
+    directory, name = os.path.split(os.path.abspath(path_prefix))
     header = "layer," + ",".join(f"expert_{i}" for i in report.kept)
-    for out, row in zip(written, report.heatmap):
-        with open(out, "w", encoding="utf-8") as fh:
-            cells = ",".join(f"{v:.6f}" for v in row)
-            fh.write(f"{header}\n0,{cells}\n")
-    return written
+    with _staged(directory) as stage:
+        for d, row in enumerate(report.heatmap):
+            with open(os.path.join(stage, f"{name}_domain{d}.csv"), "w", encoding="utf-8") as fh:
+                cells = ",".join(f"{v:.6f}" for v in row)
+                fh.write(f"{header}\n0,{cells}\n")
+    return [f"{os.fspath(path_prefix)}_domain{d}.csv" for d in range(len(report.heatmap))]
 
 
 def report_to_csv(report: EvalReport) -> str:

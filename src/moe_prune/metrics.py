@@ -80,10 +80,11 @@ class _LossScorer:
     `_route_batch` call each, so no batch spans two blocks. A set's
     logits come from the same BLAS call whatever else is in its batch, so
     its weights, and so its loss, keep their bits. An expert's output does
-    not depend on the set, so each one is computed on first use and reused
-    until release(e). A search releases an expert once no later subset
-    keeps it, which bounds how many outputs stay alive. `on_output(e,
-    output)`, if given, sees each output as it is computed.
+    not depend on the set, so each one is computed on first use and kept
+    until a call none of whose sets keeps the expert: that call drops it
+    before computing anything. No search comes back to a dropped expert,
+    so each output is computed once. `on_output(e, output)`, if given,
+    sees each output as it is computed.
     """
 
     def __init__(
@@ -112,6 +113,9 @@ class _LossScorer:
 
         Each row must be ascending, unique and in range; nothing is checked.
         """
+        kept = np.zeros(self._layer.n_experts, dtype=bool)
+        kept[subsets] = True
+        self._outputs = {e: out for e, out in self._outputs.items() if kept[e]}
         per_batch = max(1, _BATCH_LOGITS // (self._cache.n_tokens * subsets.shape[1]))
         out = np.empty(len(subsets), dtype=np.float64)
         for start in range(0, len(subsets), per_batch):
@@ -134,9 +138,6 @@ class _LossScorer:
         if len(idx) == 1 and (weights == 1).all():
             return self._output(idx[0])
         return _combine(self._layer, weights, idx, self._output)
-
-    def release(self, e: int) -> None:
-        self._outputs.pop(e, None)
 
 
 def reconstruction_loss(

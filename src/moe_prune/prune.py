@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import DEFAULT_SUBSET_BUDGET, METHODS, tensor_store
+from . import DEFAULT_SUBSET_BUDGET, METHODS, _staged, tensor_store
 from .cluster import kmeans, similarity_matrix, ward_partition
 from .metrics import (
     PerformanceMatrix,
@@ -59,7 +59,9 @@ class PruningPlan:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # numpy integers as Python ones, which JSON can store
         self.kept = [int(i) for i in self.kept]
+        self.params = {k: int(v) if isinstance(v, np.integer) else v for k, v in self.params.items()}
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         r = self.params.get("r")
@@ -165,16 +167,10 @@ def _search_exhaustive(
         itertools.chain.from_iterable(itertools.combinations(range(n), size)),
         dtype=np.int32, count=n_subsets * size,
     ).reshape(n_subsets, size)
-    losses = np.empty(n_subsets, dtype=np.float64)
-    row = 0
-    # lexicographic order, one block per first element, scored in one call so
-    # that no batch spans two blocks; no later subset keeps that element, so
-    # its output is released after its block
-    for first in range(n - size + 1):
-        end = row + math.comb(n - 1 - first, size - 1)
-        losses[row:end] = scorer.losses(subsets[row:end])
-        row = end
-        scorer.release(first)
+    # lexicographic order: one block per first element, scored in one call so
+    # that no batch spans two blocks
+    blocks = np.split(subsets, np.flatnonzero(np.diff(subsets[:, 0])) + 1)
+    losses = np.concatenate([scorer.losses(block) for block in blocks])
     best_row = _first_min(losses, size)  # ties keep the lexicographically first subset
     diag = {"subsets": subsets, "losses": losses, "best_loss": float(losses[best_row])}
     return subsets[best_row].tolist(), diag
@@ -190,9 +186,7 @@ def _search_greedy(scorer: _LossScorer, n: int, size: int) -> tuple[list[int], d
         candidates = np.tile(current, (m, 1))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
         losses = scorer.losses(candidates)
         j = _first_min(losses, m - 1)  # ascending, so loss ties remove the lower index
-        best_i = current.pop(j)
-        scorer.release(best_i)
-        removed.append(best_i)
+        removed.append(current.pop(j))
         step_losses.append(float(losses[j]))
     # the last step scored `current`: a set's loss does not depend on its batch
     final_loss = step_losses[-1] if step_losses else scorer.losses(np.array([current]))[0]
@@ -401,29 +395,29 @@ def save_plan(plan: PruningPlan, path: str | os.PathLike) -> None:
     """Write ``<path>.json`` plus a ``<path>.diag`` archive when diagnostics exist.
 
     Array diagnostics become archive arrays; every other one is stored as
-    JSON text in the archive metadata.
+    JSON text in the archive metadata. A save that fails changes no file.
     """
-    path = os.fspath(path)
-    diag_name = None
-    if plan.diagnostics:
-        diag_name = os.path.basename(path) + ".diag"
-        arrays: list[tuple[str, np.ndarray]] = []
-        metadata: dict[str, str] = {"kind": "plan_diagnostics"}
-        for key, value in plan.diagnostics.items():
-            if isinstance(value, np.ndarray):
-                arrays.append((key, value))
-            else:
-                metadata[key] = json.dumps(value)
-        tensor_store.write_archive(path + ".diag", arrays, metadata)
-    doc = {
-        "method": plan.method,
-        "params": plan.params,
-        "kept": plan.kept,
-        "provenance": plan.provenance,
-        "diagnostics_archive": diag_name,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    directory, name = os.path.split(os.path.abspath(path))
+    diag_name = name + ".diag" if plan.diagnostics else None
+    with _staged(directory) as stage:
+        if diag_name:
+            arrays: list[tuple[str, np.ndarray]] = []
+            metadata: dict[str, str] = {"kind": "plan_diagnostics"}
+            for key, value in plan.diagnostics.items():
+                if isinstance(value, np.ndarray):
+                    arrays.append((key, value))
+                else:
+                    metadata[key] = json.dumps(value)
+            tensor_store.write_archive(os.path.join(stage, diag_name), arrays, metadata)
+        doc = {
+            "method": plan.method,
+            "params": plan.params,
+            "kept": plan.kept,
+            "provenance": plan.provenance,
+            "diagnostics_archive": diag_name,
+        }
+        with open(os.path.join(stage, name + ".json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_plan(path: str | os.PathLike) -> PruningPlan:

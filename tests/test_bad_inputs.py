@@ -105,6 +105,10 @@ BAD_INPUTS = {
         lambda: generate_calibration(generate_layer(spec(), 2, 3, 1), spec(), 0, seed=0),
         "tokens_per_domain must be >= 1",
     ),
+    "calibration_expert_count": (
+        lambda: generate_calibration(layer(n=7), spec(n_generalists=6), 1, seed=0),
+        "layer has 7 experts but spec implies 8",
+    ),
     # metrics
     "perf_errors_ndim": (
         lambda: PerformanceMatrix(np.zeros(3), [1], [0]), "errors must be a 2-D matrix",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -251,6 +252,20 @@ def test_heatmap_csv_shape_and_determinism(tmp_path, planted_fixture):
     contents = [Path(p).read_bytes() for p in written]
     export_heatmap_csv(report, tmp_path / "hm")
     assert [Path(p).read_bytes() for p in written] == contents
+
+
+def test_failed_heatmap_export_keeps_earlier_files(tmp_path, planted_fixture):
+    spec, layer, calib, heldout = planted_fixture
+    report = evaluate_plan(layer, prune_mop(calib, layer, r=4, m=1, kmeans_seed=1), heldout)
+    written = export_heatmap_csv(report, tmp_path / "hm")
+    before = {path: Path(path).read_bytes() for path in written}
+    other = evaluate_plan(layer, prune_gvp(calib, layer, r=3, m=1), heldout)
+    heatmap = other.heatmap.astype(object)
+    heatmap[-1, -1] = "not a number"  # the last domain's file fails, after the others
+    with pytest.raises(ValueError, match="format code"):
+        export_heatmap_csv(dataclasses.replace(other, heatmap=heatmap), tmp_path / "hm")
+    assert {path: Path(path).read_bytes() for path in written} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in written)
 
 
 def test_heatmap_columns_follow_expert_order(tmp_path):

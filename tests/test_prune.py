@@ -509,6 +509,33 @@ def test_plan_round_trip_without_diagnostics(tmp_path):
     assert not (tmp_path / "plain.diag.json").exists()
 
 
+def _files(root):
+    """Every file under `root`, by relative path, and its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_numpy_integer_params_save_as_ints(tmp_path):
+    _, layer, calib, _ = make_planted(seed=46)
+    for name, r in [("int", 4), ("numpy", np.int64(4))]:
+        plan = prune_mop(calib, layer, r=r, m=1)
+        assert type(plan.params["r"]) is type(plan.params["K"]) is int
+        (tmp_path / name).mkdir()
+        save_plan(plan, tmp_path / name / "plan")
+    assert _files(tmp_path / "numpy") == _files(tmp_path / "int")
+
+
+def test_failed_save_keeps_earlier_plan(tmp_path):
+    _, layer, calib, _ = make_planted(seed=46)
+    save_plan(prune_mop(calib, layer, r=4, m=1), tmp_path / "plan")
+    before = _files(tmp_path)
+    plan = prune_mop(calib, layer, r=3, m=1)
+    plan.params["note"] = {"a set"}  # not JSON: fails after the new diagnostics are written
+    with pytest.raises(TypeError, match="set"):
+        save_plan(plan, tmp_path / "plan")
+    assert _files(tmp_path) == before
+    assert not list(tmp_path.glob(".moe-prune-*"))
+
+
 def test_plan_diagnostics_archive_kind_checked(tmp_path):
     spec, layer, calib, _ = make_planted(seed=46)
     save_plan(prune_gvp(calib, layer, r=4, m=1), tmp_path / "plan")

@@ -110,8 +110,6 @@ def test_scorer_matches_per_subset_formula(layer_cache, data):
         want = oracle_loss(cache, layer, kept)
         assert score_one(scorer, kept, n) == want
         assert reconstruction_loss(cache, layer, kept) == want
-        if data.draw(st.booleans()):
-            scorer.release(data.draw(st.integers(0, n - 1)))
     assert score_one(scorer, range(n), n) == 0.0
     assert reconstruction_loss(cache, layer, range(n)) == 0.0
 

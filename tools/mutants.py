@@ -95,6 +95,15 @@ MUTANTS = {
         "cluster.py", 'np.take(centroids, labels, axis=0, out=scratch, mode="clip")  # each point',
         "scratch = centroids[labels]  # each point",
     ),
+    # the scorer drops each output no set of a call keeps; the exhaustive search
+    # hands it one block per first expert, so the outputs it drops are freed early
+    "scorer-never-drops": (
+        "metrics.py", "self._outputs = {e: out for e, out in self._outputs.items() if kept[e]}",
+        "pass",
+    ),
+    "exhaustive-one-call": (
+        "prune.py", "np.split(subsets, np.flatnonzero(np.diff(subsets[:, 0])) + 1)", "[subsets]",
+    ),
     "reconstruction-loss-unchecked": (
         "metrics.py", "idx = _sorted_kept(kept, layer.n_experts)", "idx = list(kept)",
     ),
