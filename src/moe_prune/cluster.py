@@ -208,10 +208,11 @@ def _assign(
     dist *= -2.0
     dist += c2[:, None]
     dist += sq_norms
-    labels = dist.argmin(axis=0)
-    cols = np.arange(n)
-    best = dist[labels, cols]
-    dist[labels, cols] = np.inf
+    # the first minimum, as `argmin` finds it, without the [n, k] copy that
+    # numpy's `argmin` over axis 0 makes
+    best = dist.min(axis=0)
+    labels = (dist == best).argmax(axis=0)
+    dist[labels, np.arange(n)] = np.inf
     second = dist.min(axis=0)
     upper = np.sqrt(np.maximum(best + 0.25 * bound, 0.0) * hi) * hi
     lower = np.sqrt(np.maximum(second - 0.25 * bound, 0.0) * lo) * lo

@@ -64,9 +64,10 @@ def _sq_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return diff
 
 
-# logits routed per `_route_batch` call of a search, B*N*s: large enough that
-# the per-call cost of the routing kernel's numpy calls fades, small enough
-# that its temporaries add little to peak memory
+# logits routed per `_route_batch` call of a search, B*N*s, and gate entries
+# per block of `variability_scores`: large enough that the per-call cost of
+# the numpy calls fades, small enough that their temporaries add little to
+# peak memory
 _BATCH_LOGITS = 1 << 13
 
 
@@ -152,24 +153,37 @@ def reconstruction_loss(
 def variability_scores(cache: CalibrationCache) -> VariabilityScores:
     """Per-expert KL(normalized activation profile || uniform), in bits.
 
-    Each token's term is q log2(q N), 0 where q = 0, computed in place so
-    that at most two [N, n] float64 arrays are alive at once.
+    Each token's term is q log2(q N), 0 where q = 0, for q = p / Z and Z an
+    expert's total gate mass. The float64 terms are built one block of
+    `_BATCH_LOGITS // n` tokens at a time, never for all N at once. numpy
+    sums an [N, n] array's columns row after row, and each block's first row
+    carries the total of the blocks before it, so each score, like Z, is one
+    sum of its terms in token order, with the same bits. numpy sums a lone
+    column pairwise instead, so a one-expert gate is one block.
     """
-    q = cache.gate_probs.astype(np.float64)
-    z = q.sum(axis=0)
+    gate = cache.gate_probs
+    n_tokens, n = gate.shape
+    if n > 1:
+        z, rows = gate.sum(axis=0, dtype=np.float64), max(1, _BATCH_LOGITS // n)
+    else:
+        z, rows = gate.astype(np.float64).sum(axis=0), n_tokens
     dead = np.flatnonzero(z == 0.0)
     if dead.size:
         raise ValueError(
             f"expert {int(dead[0])} never receives probability mass (Z == 0)"
         )
-    q /= z
-    terms = np.multiply(q, cache.n_tokens)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log2(terms, out=terms)
-        terms *= q
-    terms[q == 0.0] = 0.0
-    scores = np.maximum(terms.sum(axis=0), 0.0)
-    return VariabilityScores(scores=scores)
+    total = np.zeros(n)
+    for start in range(0, n_tokens, rows):
+        q = gate[start : start + rows].astype(np.float64)
+        q /= z
+        terms = np.multiply(q, n_tokens)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log2(terms, out=terms)
+            terms *= q
+        terms[q == 0.0] = 0.0
+        terms[0] += total
+        total = terms.sum(axis=0)
+    return VariabilityScores(scores=np.maximum(total, 0.0))
 
 
 def activation_frequency(cache: CalibrationCache, top_k: int) -> np.ndarray:

@@ -43,11 +43,12 @@ def test_cluster_pass_matches_recorded_digests(cluster_inputs):
 
 
 # Traced-memory ceilings of one warm pass at seed 7, in KiB. Over hash seeds
-# 0-3 a pass peaked at 1,474-1,478 KiB (`search`) and 1,738-1,740 KiB
+# 0-3 a pass peaked at 1,471-1,472 KiB (`search`) and 1,589-1,591 KiB
 # (`cluster`); each ceiling leaves about 2% of slack above the highest. An
 # empty-cluster repair that gathers each point's centroid into a new [N, d]
-# array, not into k-means' scratch array, adds 512 KiB to `cluster`.
-PEAK_CEILING_KIB = {"search": 1506, "cluster": 1775}
+# array, not into k-means' scratch array, adds 512 KiB to `cluster`; float64
+# variability terms over the whole gate, not block by block, add about 150.
+PEAK_CEILING_KIB = {"search": 1506, "cluster": 1622}
 
 
 @pytest.mark.parametrize("workload", sorted(PEAK_CEILING_KIB))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from moe_prune import (
     reconstruction_loss,
     variability_scores,
 )
-from moe_prune.metrics import PerformanceMatrix, _domain_errors, _domains, _perf_row
+from moe_prune.metrics import (
+    _BATCH_LOGITS,
+    PerformanceMatrix,
+    _domain_errors,
+    _domains,
+    _perf_row,
+)
 from moe_prune.moe_sim import forward_subset_batch
 
 from conftest import make_planted, make_random_cache, make_random_layer
@@ -133,9 +140,12 @@ def oracle_variability(gate_probs):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 8),
+@given(st.data(), st.integers(0, 2**32 - 1), st.integers(1, 64),
        st.sampled_from([0.0, 0.3, 0.9]), st.booleans())
-def test_variability_matches_direct_formula(seed, n_tokens, n_experts, zero_share, point):
+def test_variability_matches_direct_formula(data, seed, n_experts, zero_share, point):
+    # up to three blocks and one token, with the block edges drawn on purpose
+    block = max(1, _BATCH_LOGITS // n_experts)
+    n_tokens = data.draw(st.sampled_from([1, block, block + 1]) | st.integers(1, 3 * block + 1))
     rng = np.random.default_rng(seed)
     probs = rng.random((n_tokens, n_experts))
     probs[rng.random(probs.shape) < zero_share] = 0.0
@@ -150,6 +160,31 @@ def test_variability_matches_direct_formula(seed, n_tokens, n_experts, zero_shar
     cache = make_gate_cache(probs)
     got = variability_scores(cache).scores
     assert got.tobytes() == oracle_variability(cache.gate_probs).tobytes()
+
+
+def test_variability_lone_expert_keeps_pairwise_sum(rng):
+    """numpy sums a lone column pairwise, not in token order: over several
+    blocks of tokens a one-expert score still has the whole-column bits."""
+    n_tokens = 3 * _BATCH_LOGITS + 1
+    probs = 1.0 - 4e-6 * rng.random((n_tokens, 1))  # rows within the sum check
+    cache = make_gate_cache(probs)
+    got = variability_scores(cache).scores
+    assert got.tobytes() == oracle_variability(cache.gate_probs).tobytes()
+
+
+def test_variability_peak_below_gate_size(rng):
+    """The float64 terms are built block by block: scoring a [16384, 64] gate
+    holds less than the gate's own 4 MiB of float32 at its peak."""
+    probs = rng.random((16384, 64))
+    probs /= probs.sum(axis=1, keepdims=True)
+    cache = make_gate_cache(probs)
+    tracemalloc.start()
+    try:
+        variability_scores(cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cache.gate_probs.nbytes, f"{peak / 1024:.1f} KiB"
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ MUTANTS = {
     "pruned-forward-untransposed": ("moe_sim.py", "return out, weights.T", "return out, weights"),
     "routing-budget-2^40": ("metrics.py", "_BATCH_LOGITS = 1 << 13", "_BATCH_LOGITS = 1 << 40"),
     "variability-no-zero-mask": ("metrics.py", "terms[q == 0.0] = 0.0", "pass"),
+    # each block of variability terms continues the sum of the blocks before it
+    "variability-carry-dropped": ("metrics.py", "terms[0] += total", "pass"),
+    "variability-lone-column-blocked": ("metrics.py", "if n > 1:", "if True:"),
     "coverage-counts-generalists": (
         "evaluation.py", "for i in kept if domains[i] >= 0}", "for i in kept}",
     ),
@@ -81,6 +84,9 @@ MUTANTS = {
     "assign-moved-lower-no-widening": (
         "cluster.py", "lower = np.maximum(lower - moves.max(), 0.0) * lo",
         "lower = np.maximum(lower - moves.max(), 0.0)",
+    ),
+    "assign-first-minimum-wrong": (
+        "cluster.py", "(dist == best).argmax(axis=0)", "(dist == best).argmin(axis=0)",
     ),
     "assign-fresh-upper-no-slack": (
         "cluster.py", "np.maximum(best + 0.25 * bound, 0.0)", "np.maximum(best, 0.0)",
