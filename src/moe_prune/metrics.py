@@ -16,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .moe_sim import CalibrationCache, MoELayer, _combine, _route_batch, _sorted_kept
+from .moe_sim import CalibrationCache, MoELayer, _combine, _route_batch, _sorted_kept, _top_k
 
 
 @dataclass
@@ -191,8 +191,7 @@ def activation_frequency(cache: CalibrationCache, top_k: int) -> np.ndarray:
     n = cache.n_experts
     if not 1 <= top_k <= n:
         raise ValueError(f"top_k {top_k} outside [1, {n}]")
-    order = np.argsort(-cache.gate_probs, axis=1, kind="stable")[:, :top_k]
-    return np.bincount(order.ravel(), minlength=n).astype(np.int64)
+    return np.bincount(_top_k(cache.gate_probs, top_k).ravel(), minlength=n).astype(np.int64)
 
 
 class _Domains(NamedTuple):

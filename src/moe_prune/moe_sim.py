@@ -323,6 +323,12 @@ def _sorted_kept(kept: Iterable[int], n_experts: int) -> list[int]:
     return idx
 
 
+def _top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values along the last axis, largest first and
+    ties to the lower index: the one ranking rule of the package."""
+    return np.argsort(-values, axis=-1, kind="stable")[..., :k]
+
+
 def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Routing weights [B, s, N] of B kept sets `idx` [B, s] for `inputs`.
 
@@ -332,8 +338,8 @@ def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.nda
     for all B sets by one `np.matmul`: the gufunc makes, for each set, the
     BLAS call the 2-D product makes (same shape, same transpose flags, all
     N rows), so every set's logits keep their bits whatever B is. The top-k
-    order is a stable argsort of each token's logits, as in the token-major
-    formula. Everything after the argsort runs rank-major on [k, B*N]
+    order is `_top_k` of each token's logits, as in the token-major
+    formula. Everything after the top-k runs rank-major on [k, B*N]
     arrays gathered and scattered through flat indices: reductions over a
     long axis are far cheaper in numpy than over a length-k one, and give
     the same values. Every step is per token, so a set's weights do not
@@ -347,9 +353,8 @@ def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.nda
         weights = np.exp(logits - logits)
         return np.divide(weights, weights, out=weights).reshape(n_sets, 1, n_rows)
     k_sel = min(layer.top_k, s)
-    # stable sort on -logits: same order as restricted-softmax probabilities,
-    # ties resolve to the lower column = lower expert index
-    order = np.argsort(-logits.reshape(-1, s), axis=1, kind="stable")[:, :k_sel].T.copy()  # [k, B*N]
+    # the restricted softmax ranks as the logits do; column order is expert order
+    order = _top_k(logits.reshape(-1, s), k_sel).T.copy()  # [k, B*N]
     tokens = np.arange(n_sets * n_rows)  # token u = b*N + t is token t of set b
     # renormalized top-k probabilities == softmax over just the selected
     # logits; computing it that way keeps the weights independent of the

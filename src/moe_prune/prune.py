@@ -34,7 +34,7 @@ from .metrics import (
     activation_frequency,
     variability_scores,
 )
-from .moe_sim import CalibrationCache, MoELayer
+from .moe_sim import CalibrationCache, MoELayer, _top_k
 
 PROVENANCE_TAGS = ("general", "diversity", "baseline")  # in the order `prune` prints them
 PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE = PROVENANCE_TAGS
@@ -128,10 +128,9 @@ def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> Pruning
     n = layer.n_experts
     _check_r(r, n)
     counts = activation_frequency(cache, layer.top_k)
-    order = np.argsort(-counts, kind="stable")
     return PruningPlan(
         method="frequency",
-        kept=order[:r],
+        kept=_top_k(counts, r),
         provenance=[PROVENANCE_BASELINE] * r,
         params={"n": n, "r": r, "m": None, "K": None, "seed": None},
         diagnostics={"activation_counts": counts},
@@ -292,9 +291,8 @@ def prune_gvp(
     m = _general_count(r, m, layer.n_experts)
     general, candidates, stage_diag = _select_general(cache, layer, m, budget)
     scores = variability_scores(cache)
-    by_score = sorted(candidates, key=lambda i: (-scores.scores[i], i))
     return _core_plan(
-        "gvp", general, by_score[: r - m],
+        "gvp", general, [candidates[j] for j in _top_k(scores.scores[candidates], r - m)],
         {"n": layer.n_experts, "r": r, "m": m, "K": None, "seed": None}, scores, stage_diag,
     )
 
@@ -338,7 +336,8 @@ def prune_mop(
     partition = ward_partition(perf, sim, n_groups)
 
     scores = variability_scores(cache)
-    representatives = [min(g, key=lambda i: (-scores.scores[i], i)) for g in partition.groups]
+    # Ward groups are ascending, so a tied score goes to the lower id
+    representatives = [g[_top_k(scores.scores[g], 1)[0]] for g in partition.groups]
     return _core_plan(
         "mop", general, representatives,
         {"n": layer.n_experts, "r": r, "m": m, "K": n_groups, "seed": kmeans_seed}, scores,
@@ -444,10 +443,8 @@ def load_plan(path: str | os.PathLike) -> PruningPlan:
             diagnostics.update(arrays)
             for key, value in manifest.metadata.items():
                 if key != "kind" and key not in diagnostics:
-                    try:
+                    with tensor_store._naming(f"{diag_path}.json: metadata {key!r} is not JSON"):
                         diagnostics[key] = json.loads(value)
-                    except json.JSONDecodeError:  # an archive written before scalars were JSON
-                        diagnostics[key] = value
         return PruningPlan(
             method=tensor_store._field(doc, "method", str),
             kept=tensor_store._field(doc, "kept", list, items=int),

@@ -185,11 +185,8 @@ def write_archive(
         chunks.append(raw)
         offset += len(raw)
 
-    manifest = Manifest(
-        arrays=entries,
-        metadata={str(k): str(v) for k, v in (metadata or {}).items()},
-    )
-    manifest.validate(offset)
+    metadata = {str(k): str(v) for k, v in (metadata or {}).items()}
+    manifest = Manifest(arrays=entries, metadata=metadata)  # valid by construction
 
     # Both files are written in a stage beside `path` and committed blob
     # first, so no manifest names a blob that is not complete.

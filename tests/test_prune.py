@@ -491,14 +491,15 @@ def test_plan_with_ragged_groups_still_loads(tmp_path):
     )
 
 
-def test_plan_loads_non_json_scalar_as_string(tmp_path):
+def test_plan_rejects_non_json_diagnostic(tmp_path):
     spec, layer, calib, _ = make_planted(seed=46)
     save_plan(prune_gvp(calib, layer, r=4, m=1), tmp_path / "plan")
     manifest = tmp_path / "plan.diag.json"
     doc = json.loads(manifest.read_text())
-    doc["metadata"]["stage1_mode"] = "'exhaustive'"  # archives before JSON scalars held a repr
+    doc["metadata"]["stage1_mode"] = "'exhaustive'"  # a repr, not JSON text
     manifest.write_text(json.dumps(doc))
-    assert load_plan(tmp_path / "plan").diagnostics["stage1_mode"] == "'exhaustive'"
+    with pytest.raises(ArchiveError, match=r"plan\.diag\.json: metadata 'stage1_mode' is not JSON"):
+        load_plan(tmp_path / "plan")
 
 
 def test_plan_round_trip_without_diagnostics(tmp_path):

@@ -335,19 +335,11 @@ def test_one_expert_scoring_matches_route_and_combine(data):
     lambda cache, layer: prune_gvp(cache, layer, 3, m=1),
 ], ids=["mop", "gvp"])
 def test_one_expert_stage1_sorts_and_combines_nothing(rng, monkeypatch, prune):
-    """Stage 1 at m = 1 routes each expert alone, with no top-k argsort in
-    the routing kernel, and scores it without a combine."""
+    """Stage 1 at m = 1 routes each expert alone, with no top-k in the
+    routing kernel, and scores it without a combine."""
     layer = make_random_layer(rng, n=8)
     cache = make_random_cache(rng, layer)
     calls = collections.Counter()
-
-    class CountingNumpy:  # numpy as moe_sim sees it, counting argsort calls
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def argsort(self, *args, **kwargs):
-            calls["argsort"] += 1
-            return np.argsort(*args, **kwargs)
 
     def counting(name, fn):
         def wrapper(*args):
@@ -355,7 +347,8 @@ def test_one_expert_stage1_sorts_and_combines_nothing(rng, monkeypatch, prune):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(moe_sim, "np", CountingNumpy())
+    # the routing kernel's top-k; the variability rankings call their own import
+    monkeypatch.setattr(moe_sim, "_top_k", counting("top_k", moe_sim._top_k))
     monkeypatch.setattr(metrics, "_route_batch", counting("route", metrics._route_batch))
     monkeypatch.setattr(metrics, "_combine", counting("combine", metrics._combine))
     plan = prune(cache, layer)

@@ -43,8 +43,10 @@ MUTANTS = {
     "first-min-no-nan-mask": (
         "prune.py", "np.argmin(np.where(np.isnan(losses), np.inf, losses))", "np.argmin(losses)",
     ),
-    "routing-quicksort": (
-        "moe_sim.py", 'kind="stable")[:, :k_sel]', 'kind="quicksort")[:, :k_sel]',
+    # the one top-k rule: routing, activation counts, frequency and both
+    # variability rankings
+    "top-k-quicksort": (
+        "moe_sim.py", 'kind="stable")[..., :k]', 'kind="quicksort")[..., :k]',
     ),
     "routing-no-k8-branch": ("moe_sim.py", "if k_sel < 8:", "if True:"),
     "pruned-forward-untransposed": ("moe_sim.py", "return out, weights.T", "return out, weights"),
@@ -116,6 +118,16 @@ MUTANTS = {
     "planted-spec-negative-generalists": ("moe_sim.py", "if self.n_generalists < 0:", "if False:"),
     "kmeans-accepts-1d": ("cluster.py", "if pts.ndim != 2:", "if False:"),
     "coverage-no-planted-check": ("evaluation.py", "if not planted:", "if False:"),
+    # a plan's metadata diagnostics are JSON: the text fallback of older plans
+    "plan-diag-text-fallback": (
+        "prune.py", "diagnostics[key] = json.loads(value)",
+        "diagnostics[key] = value if value.startswith(\"'\") else json.loads(value)",
+    ),
+    # an expert's identity, not its position: mop scores a group member by its
+    # place in the candidate list
+    "mop-scores-by-position": (
+        "prune.py", "scores.scores[g]", "scores.scores[[candidates.index(i) for i in g]]",
+    ),
     # the staged commit every written file goes through
     "stage-no-rollback": (
         "__init__.py", "renamed.append(os.path.join(directory, name))", "pass",
