@@ -6,8 +6,8 @@ caches calibration data, and runs five expert-retention strategies
 and cluster-then-select) against brute-force oracles and held-out
 per-domain evaluations.
 
-Submodules load lazily so the command-line entry point can cap BLAS
-threads (MOP_THREADS) before numpy is first imported.
+Submodules load lazily, so ``import moe_prune``, the command-line parser
+and ``moe-prune report`` start without importing numpy.
 """
 
 import contextlib

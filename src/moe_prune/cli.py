@@ -7,29 +7,19 @@ win over the config. Every archive or plan ``<out>`` gets an
 recording the effective config, seeds, and tool version. Each command
 writes its files into a staging directory beside its outputs and renames
 them into place only once all are written, so a command that fails or is
-interrupted before then changes no existing file; its exit status is
-nonzero. The MOP_THREADS environment variable caps BLAS
-parallelism (it must be set before numpy is first imported, which the
-console entry point guarantees).
+interrupted before then changes no existing file. Every failing command
+prints one ``error: `` line to stderr and exits 1; usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
 
 from . import DEFAULT_SUBSET_BUDGET, METHODS, _staged
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 METHOD_CHOICES = METHODS + ("enum",)
 
@@ -48,13 +38,6 @@ DEFAULT_CONFIG = {
     "calibration": {"tokens_per_domain": 128, "seed": 2024},
     "heldout": {"tokens_per_domain": 128, "seed": 9090},
 }
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("MOP_THREADS")
-    if cap:
-        for var in _THREAD_ENV_VARS:
-            os.environ.setdefault(var, cap)
 
 
 class ConfigError(ValueError):
@@ -139,12 +122,14 @@ def _staged_out(prefix: str):
 
 
 def _planted_spec(model_cfg: dict):
+    import dataclasses  # only here: `report` never loads it, nor inspect, ast and dis
+
     from .moe_sim import PlantedSpec
 
     return PlantedSpec(**{f.name: model_cfg[f.name] for f in dataclasses.fields(PlantedSpec)})
 
 
-def _save_generated(args, config: dict, save, obj, metadata: dict) -> int:
+def _save_generated(args, config: dict, save, obj, metadata: dict) -> None:
     """The tail of gen-model and gen-calib: write the archive and its provenance."""
     with _staged_out(args.out) as out:
         manifest = save(obj, out, {"config_hash": config_hash(config), **metadata})
@@ -152,10 +137,9 @@ def _save_generated(args, config: dict, save, obj, metadata: dict) -> int:
     print(f"config hash: {config_hash(config)}")
     for entry in manifest.arrays:
         print(f"  {entry.name}: {list(entry.shape)} {entry.dtype}")
-    return 0
 
 
-def cmd_gen_model(args: argparse.Namespace) -> int:
+def cmd_gen_model(args: argparse.Namespace) -> None:
     from .moe_sim import generate_layer, save_layer
 
     config = load_config(args.config)
@@ -169,10 +153,10 @@ def cmd_gen_model(args: argparse.Namespace) -> int:
         ff_dim=config["model"]["ff_dim"],
         top_k=config["model"]["top_k"],
     )
-    return _save_generated(args, config, save_layer, layer, {})
+    _save_generated(args, config, save_layer, layer, {})
 
 
-def cmd_gen_calib(args: argparse.Namespace) -> int:
+def cmd_gen_calib(args: argparse.Namespace) -> None:
     from .moe_sim import generate_calibration, load_layer, save_cache
 
     config = load_config(args.config)
@@ -187,12 +171,12 @@ def cmd_gen_calib(args: argparse.Namespace) -> int:
     cache = generate_calibration(
         layer, spec, tokens_per_domain=section["tokens_per_domain"], seed=section["seed"]
     )
-    return _save_generated(
+    _save_generated(
         args, config, save_cache, cache, {"role": args.role, "seed": str(section["seed"])}
     )
 
 
-def cmd_prune(args: argparse.Namespace) -> int:
+def cmd_prune(args: argparse.Namespace) -> None:
     from .moe_sim import load_cache, load_layer
     from .prune import PROVENANCE_TAGS, prune_with_method, save_plan
 
@@ -213,10 +197,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
             print(f"  {tag}: {tagged}")
     if "losses" in plan.diagnostics:
         print(f"subsets examined: {len(plan.diagnostics['losses'])}")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     from .evaluation import evaluate_plan, export_heatmap_csv, report_to_csv
     from .moe_sim import load_cache, load_layer
     from .prune import load_plan
@@ -237,10 +220,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"worst-domain loss: {report.worst_domain_loss:.6f}")
     if report.coverage is not None:
         print(f"coverage: {report.coverage:.3f}")
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     rows = []
     for root, _dirs, files in sorted(os.walk(args.dir)):
         if "report.csv" in files:
@@ -248,16 +230,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
             if len(lines) < 2:
-                print(f"error: {path} has no data row", file=sys.stderr)
-                return 1
+                raise ValueError(f"{path} has no data row")
             rows.append((os.path.relpath(root, args.dir), lines[0], lines[1], path))
     if not rows:
-        print(f"no report.csv files under {args.dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no report.csv files under {args.dir}")
     for _name, head, _body, path in rows:
         if head != rows[0][1]:
-            print(f"error: {path} and {rows[0][3]} have different headers", file=sys.stderr)
-            return 1
+            raise ValueError(f"{path} and {rows[0][3]} have different headers")
     header = "run," + rows[0][1]
     lines = [header] + [f"{name},{body}" for name, _head, body, _path in sorted(rows)]
     table = "\n".join(lines) + "\n"
@@ -265,7 +244,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         with _staged_out(args.out) as out, open(out, "w", encoding="utf-8") as fh:
             fh.write(table)
     print(table, end="")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -122,6 +122,8 @@ class PlantedSpec:
             raise ValueError("duplicate_noise must be >= 0")
         if self.domain_separation <= 0:
             raise ValueError("domain_separation must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_experts(self) -> int:
@@ -246,6 +248,8 @@ def generate_calibration(
     """
     if tokens_per_domain < 1:
         raise ValueError("tokens_per_domain must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     planted = None if layer.specialist_domain is None else layer.specialist_domain.tolist()
     if planted is not None and planted != spec.planted_domains:
         raise ValueError(
@@ -310,8 +314,9 @@ def _gate(layer: MoELayer, inputs: np.ndarray) -> np.ndarray:
 def _sorted_kept(kept: Iterable[int], n_experts: int) -> list[int]:
     """`kept` as an ascending list, checked: nonempty, in range, unique.
 
-    Plain Python: a search checks every kept set it scores, and for a few
-    indices this costs a small fraction of numpy's sort and unique.
+    Plain Python: `_pruned_forward` and `reconstruction_loss` check one kept
+    set per call, and for a few indices this costs a small fraction of
+    numpy's sort and unique.
     """
     idx = sorted(int(i) for i in kept)
     if not idx:

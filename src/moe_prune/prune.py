@@ -114,6 +114,8 @@ class PruningPlan:
 def prune_random(n: int, r: int, seed: int) -> PruningPlan:
     """Keep a uniformly random r-subset of the n experts."""
     _check_r(r, n)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return PruningPlan(
         method="random",
@@ -314,6 +316,8 @@ def prune_mop(
     m = _general_count(r, m, layer.n_experts)
     n_groups = r - m
     _check_cache_layer(cache, layer)
+    if kmeans_seed < 0:
+        raise ValueError(f"kmeans_seed must be >= 0, got {kmeans_seed}")
 
     # restarts guard against two k-means++ seeds landing in one planted domain
     labeling = kmeans(cache.inputs, n_groups, seed=kmeans_seed, max_iters=100, n_init=8)

@@ -21,6 +21,8 @@ from moe_prune import (
     kmeans,
     performance_matrix,
     prune_enum,
+    prune_mop,
+    prune_random,
 )
 from moe_prune.cluster import SimilarityMatrix
 from moe_prune.evaluation import _coverage
@@ -90,6 +92,7 @@ BAD_INPUTS = {
     "spec_negative_generalists": (lambda: spec(n_generalists=-1), "n_generalists must be >= 0"),
     "spec_negative_noise": (lambda: spec(duplicate_noise=-0.1), "duplicate_noise must be >= 0"),
     "spec_zero_separation": (lambda: spec(domain_separation=0.0), "domain_separation must be > 0"),
+    "spec_negative_seed": (lambda: spec(seed=-1), "seed must be >= 0, got -1"),
     "cache_no_tokens": (lambda: cache(n=0), "cache must hold at least one token"),
     "cache_gate_rows": (
         lambda: cache(gate_probs=np.full((3, 2), 0.5)), "gate_probs token count does not match inputs",
@@ -104,6 +107,10 @@ BAD_INPUTS = {
     "calibration_no_tokens": (
         lambda: generate_calibration(generate_layer(spec(), 2, 3, 1), spec(), 0, seed=0),
         "tokens_per_domain must be >= 1",
+    ),
+    "calibration_negative_seed": (
+        lambda: generate_calibration(generate_layer(spec(), 2, 3, 1), spec(), 1, seed=-2),
+        "seed must be >= 0, got -2",
     ),
     "calibration_expert_count": (
         lambda: generate_calibration(layer(n=7), spec(n_generalists=6), 1, seed=0),
@@ -140,6 +147,10 @@ BAD_INPUTS = {
     ),
     "kmeans_1d_points": (lambda: kmeans(np.zeros(4), k=1, seed=0), "points must be a 2-D matrix"),
     # prune
+    "random_negative_seed": (lambda: prune_random(3, 2, seed=-3), "seed must be >= 0, got -3"),
+    "mop_negative_kmeans_seed": (
+        lambda: prune_mop(*scoring_pair(), 2, kmeans_seed=-3), "kmeans_seed must be >= 0, got -3",
+    ),
     "search_mode": (
         lambda: prune_enum(*scoring_pair(), 2, mode="beam"),
         "mode must be 'exhaustive' or 'greedy', got 'beam'",

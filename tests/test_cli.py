@@ -325,6 +325,9 @@ def test_report_aggregates_rows(pipeline, tmp_path, capsys):
 def test_report_empty_dir_fails(tmp_path, capsys):
     os.makedirs(tmp_path / "nothing")
     assert run(["report", "--dir", str(tmp_path / "nothing")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no report.csv files under {tmp_path / 'nothing'}\n"
 
 
 def test_report_mismatched_headers_fail_without_output(tmp_path, capsys):
@@ -354,19 +357,19 @@ def test_report_without_data_row_fails_without_output(tmp_path, capsys, others):
     assert not out.exists()
 
 
-def test_mop_threads_seeds_blas_env(monkeypatch):
-    from moe_prune.cli import _THREAD_ENV_VARS, _apply_thread_cap
-
-    for var in _THREAD_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MOP_THREADS", "2")
-    _apply_thread_cap()
-    for var in _THREAD_ENV_VARS:
-        assert os.environ[var] == "2"
-    # a user's explicit setting wins over the cap
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    _apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "7"
+@pytest.mark.parametrize("method, seeds, message", [
+    ("random", ["--seed", "-3", "--kmeans-seed", "5"], "seed must be >= 0, got -3"),
+    ("mop", ["--seed", "5", "--kmeans-seed", "-3"], "kmeans_seed must be >= 0, got -3"),
+], ids=["random", "mop"])
+def test_negative_seed_named(pipeline, tmp_path, capsys, method, seeds, message):
+    # numpy's own error, "expected non-negative integer", names no flag
+    config, model, calib, heldout = pipeline
+    capsys.readouterr()
+    plan = tmp_path / "plan"
+    assert run(["prune", "--model", model, "--cache", calib, "--method", method,
+                "--r", "4", *seeds, "--out", str(plan)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_prune_failure_removes_partial_outputs(pipeline, tmp_path, capsys):
@@ -612,7 +615,7 @@ def test_malformed_input_fails_by_name(pipeline, tmp_path, capsys, case):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # MOP_THREADS must take effect before numpy is first imported
+    # numpy's import would dominate the start-up of the parser and of `report`
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, moe_prune.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
@@ -649,6 +652,22 @@ def test_eval_leaves_numpy_ma_unloaded(tmp_path):
     modules = _loaded_modules(proc.stderr)
     assert "moe_prune.evaluation" in modules
     assert not {m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+
+def test_report_leaves_numpy_and_dataclasses_unloaded(tmp_path):
+    # importing dataclasses (and with it inspect, ast and dis) costs a report process about 11 ms
+    os.makedirs(tmp_path / "evals" / "a")
+    (tmp_path / "evals" / "a" / "report.csv").write_text("method,d0\nmop,1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "moe_prune.cli", "report",
+         "--dir", str(tmp_path / "evals")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = _loaded_modules(proc.stderr)
+    assert "moe_prune" in modules
+    assert not modules & {"numpy", "dataclasses"}
 
 
 def test_evaluate_plan_leaves_numpy_ma_unloaded():

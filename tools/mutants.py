@@ -1,6 +1,6 @@
 """Run a fixed catalogue of one-line mutants against tier-1: mutants of the
-bit-exact kernels, of the checks that name bad inputs and of the staged
-commit that every written file goes through.
+bit-exact kernels, of the checks that name bad inputs, of the staged
+commit that every written file goes through and of what `report` imports.
 
 Each mutant replaces one exact fragment of one line in one file of
 ``src/moe_prune``. It is applied to a fresh copy of the repository in a
@@ -128,6 +128,8 @@ MUTANTS = {
     "mop-scores-by-position": (
         "prune.py", "scores.scores[g]", "scores.scores[[candidates.index(i) for i in g]]",
     ),
+    # `report` starts without dataclasses (and inspect, ast and dis)
+    "cli-eager-dataclasses": ("cli.py", "import argparse", "import argparse, dataclasses"),
     # the staged commit every written file goes through
     "stage-no-rollback": (
         "__init__.py", "renamed.append(os.path.join(directory, name))", "pass",
