@@ -167,6 +167,7 @@ def _assign(
     (l - u)(l + u) > b, which cannot round up past twice the margin b/2 this
     needs, has its label as the unique argmin of `_sq_dists`. Every bound is
     widened by a factor 1 +- 4 g_(d+4), which outweighs its few roundings.
+    The squared centroid norms and each row's b are computed once per call.
 
     `moved`, if given, is the previous centroids and this function's result
     at them. When each centroid moves by at most delta_j (widened likewise,
@@ -174,31 +175,49 @@ def _assign(
     centroid grows by at most delta_(label) and its distance to any other
     shrinks by at most max delta (Hamerly, "Making k-means even faster",
     2010). Rows whose moved bounds pass the test keep their label. Every
-    other row, gathered into `scratch`, takes the product form and gets the
-    bounds u = sqrt(best + b/4) and l = sqrt(second - b/4) from its two
-    smallest distances there. It keeps the product form's label if it passes
-    the same test with a finite second - best (not so on overflow, or
-    k = 1); otherwise `_sq_dists`, whose bits for a row do not depend on the
-    other rows, decides it, with the bounds inf and 0.
+    other row, gathered into `scratch`, goes to `_assign_fresh` with its own
+    b; so does every row when `moved` is not given.
     """
-    n, d = points.shape
+    d = points.shape[1]
     c2 = (centroids * centroids).sum(axis=1)
     widen, bound = _bound(norms, np.sqrt(c2.max()), d)
     hi, lo = 1.0 + widen, 1.0 - widen
-    if moved is not None:
-        previous, (labels, upper, lower) = moved
-        moves = np.sqrt((((centroids - previous) ** 2).sum(axis=1) + d * 2.0**-1074) * hi) * hi
-        upper = (upper + moves[labels]) * hi
-        lower = np.maximum(lower - moves.max(), 0.0) * lo
-        labels = labels.copy()
-        redo = np.flatnonzero(~((lower - upper) * (lower + upper) > bound))
-        if redo.size:
-            rows = np.take(points, redo, axis=0, out=scratch[: redo.size], mode="clip")
-            labels[redo], upper[redo], lower[redo] = _assign(
-                rows, sq_norms[redo], norms[redo], centroids, scratch
-            )
-        return labels, upper, lower
+    if moved is None:
+        return _assign_fresh(points, sq_norms, centroids, c2, bound, hi, lo)
+    previous, (labels, upper, lower) = moved
+    moves = np.sqrt((((centroids - previous) ** 2).sum(axis=1) + d * 2.0**-1074) * hi) * hi
+    upper = (upper + moves[labels]) * hi
+    lower = np.maximum(lower - moves.max(), 0.0) * lo
+    labels = labels.copy()
+    redo = np.flatnonzero(~((lower - upper) * (lower + upper) > bound))
+    if redo.size:
+        rows = np.take(points, redo, axis=0, out=scratch[: redo.size], mode="clip")
+        labels[redo], upper[redo], lower[redo] = _assign_fresh(
+            rows, sq_norms[redo], centroids, c2, bound[redo], hi, lo
+        )
+    return labels, upper, lower
 
+
+def _assign_fresh(
+    points: np.ndarray,
+    sq_norms: np.ndarray,
+    centroids: np.ndarray,
+    c2: np.ndarray,
+    bound: np.ndarray,
+    hi: float,
+    lo: float,
+) -> _Bounds:
+    """`_assign` with no bounds to start from, given the squared centroid
+    norms `c2`, each row's b in `bound` and the widening factors `hi` and `lo`.
+
+    Every row takes the product form and gets the bounds u = sqrt(best +
+    b/4) and l = sqrt(second - b/4) from its two smallest distances there.
+    It keeps the product form's label if it passes `_assign`'s test with a
+    finite second - best (not so on overflow, or k = 1); otherwise
+    `_sq_dists`, whose bits for a row do not depend on the other rows,
+    decides it, with the bounds inf and 0.
+    """
+    n = points.shape[0]
     # [k, n]: numpy reduces over the short centroid axis fastest this way. One
     # matrix-vector product per centroid, because a first float64 matrix
     # product makes OpenBLAS touch another 256 KB of its packing buffer.

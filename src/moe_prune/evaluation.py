@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _staged
-from .metrics import _check_cache_layer, _domain_errors, _domains
+from .metrics import _check_cache_layer, _domain_errors, _domains, _sq_error
 from .moe_sim import CalibrationCache, MoELayer, _pruned_forward
 from .prune import PruningPlan, prune_with_method
 
@@ -63,7 +63,7 @@ def evaluate_plan(
 
     domains = _domains(heldout.source_domain, heldout.n_tokens)
     pred, weights = _pruned_forward(layer, plan.kept, heldout.inputs)
-    per_token, per_domain = _domain_errors(pred, heldout.outputs_full, domains)
+    per_token, per_domain = _domain_errors(_sq_error(pred, heldout.outputs_full), domains)
     weights = weights.astype(np.float64)
     heatmap = np.stack([weights[domains.order[span]].mean(axis=0) for span in domains.spans])
 

@@ -84,29 +84,34 @@ class _LossScorer:
     not depend on the set, so each one is computed on first use and kept
     until a call none of whose sets keeps the expert: that call drops it
     before computing anything. No search comes back to a dropped expert,
-    so each output is computed once. `on_output(e, output)`, if given,
-    sees each output as it is computed.
+    so each output is computed once.
+
+    `on_error(e, error)`, if given, sees the squared error of each output
+    against the full layer as the output is computed. When that output is
+    a one-expert set's whole prediction, the set is scored with the same
+    array, so its squared error is computed once; the scorer keeps no
+    squared error after the set is scored.
     """
 
     def __init__(
         self,
         cache: CalibrationCache,
         layer: MoELayer,
-        on_output: Callable[[int, np.ndarray], None] | None = None,
+        on_error: Callable[[int, np.ndarray], None] | None = None,
     ) -> None:
         _check_cache_layer(cache, layer)
         self._cache = cache
         self._layer = layer
         self._target = cache.outputs_full.astype(np.float64)
         self._outputs: dict[int, np.ndarray] = {}
-        self._on_output = on_output
+        self._on_error = on_error
 
     def _output(self, e: int) -> np.ndarray:
         out = self._outputs.get(e)
         if out is None:
             out = self._outputs[e] = self._layer.experts[e].apply(self._cache.inputs)
-            if self._on_output is not None:
-                self._on_output(e, out)
+            if self._on_error is not None:
+                self._on_error(e, _sq_error(out, self._target))
         return out
 
     def losses(self, subsets: np.ndarray) -> np.ndarray:
@@ -128,17 +133,21 @@ class _LossScorer:
         # one routing call; then each set's output is added up, scored and
         # dropped before the next one's, and the weights die on return
         weights = _route_batch(self._layer, batch, self._cache.inputs)
-        return [
-            _sq_error(self._prediction(w, idx), self._target).sum()
-            for w, idx in zip(weights, batch.tolist())
-        ]
+        return [self._error(w, idx).sum() for w, idx in zip(weights, batch.tolist())]
 
-    def _prediction(self, weights: np.ndarray, idx: list[int]) -> np.ndarray:
+    def _error(self, weights: np.ndarray, idx: list[int]) -> np.ndarray:
+        """The squared error of one kept set's prediction."""
+        if len(idx) > 1 or not (weights == 1).all():
+            return _sq_error(_combine(self._layer, weights, idx, self._output), self._target)
         # one expert weighted exactly 1 everywhere: combining would add its output
         # to zeros, turning at most a -0.0 into +0.0, a sign the square removes
-        if len(idx) == 1 and (weights == 1).all():
-            return self._output(idx[0])
-        return _combine(self._layer, weights, idx, self._output)
+        e = idx[0]
+        if e in self._outputs or self._on_error is None:
+            return _sq_error(self._output(e), self._target)
+        out = self._outputs[e] = self._layer.experts[e].apply(self._cache.inputs)
+        error = _sq_error(out, self._target)
+        self._on_error(e, error)
+        return error
 
 
 def reconstruction_loss(
@@ -226,12 +235,10 @@ def _domains(labels: np.ndarray, n_tokens: int) -> _Domains:
     return _Domains(order, [slice(a, b) for a, b in zip([0] + ends, ends)], sizes)
 
 
-def _domain_errors(
-    pred: np.ndarray, target: np.ndarray, domains: _Domains
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each token's squared error of `pred` against `target`, and their sum
+def _domain_errors(error: np.ndarray, domains: _Domains) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's sum of the elementwise squared `error`, and their sum
     over each domain's tokens, added in token order."""
-    per_token = _sq_error(pred, target).sum(axis=1)
+    per_token = error.sum(axis=1)
     grouped = per_token[domains.order]
     return per_token, np.array([np.add.reduce(grouped[span]) for span in domains.spans])
 
@@ -239,7 +246,7 @@ def _domain_errors(
 def _perf_row(out: np.ndarray, outputs_full: np.ndarray, domains: _Domains) -> np.ndarray:
     """One expert's mean squared error against the full layer per domain, from
     its output `out` on the cached inputs, as `.mean()` of the masked errors."""
-    return _domain_errors(out, outputs_full, domains)[1] / domains.sizes
+    return _domain_errors(_sq_error(out, outputs_full), domains)[1] / domains.sizes
 
 
 def performance_matrix(

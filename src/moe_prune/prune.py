@@ -28,6 +28,7 @@ from .metrics import (
     PerformanceMatrix,
     VariabilityScores,
     _check_cache_layer,
+    _domain_errors,
     _domains,
     _LossScorer,
     _perf_row,
@@ -251,19 +252,20 @@ def _select_general(
     layer: MoELayer,
     m: int,
     budget: int,
-    on_output: Callable[[int, np.ndarray], None] | None = None,
+    on_error: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[list[int], list[int], dict]:
     """Stage 1 shared by gvp and mop: the enum search for the best m-subset.
 
     Returns the general core, the remaining candidates ascending and the
-    stage diagnostics. `on_output` sees each expert output the search
-    computes (see `_LossScorer`); with m = 0 there is no search.
+    stage diagnostics. `on_error` sees the squared error of each expert
+    output the search computes (see `_LossScorer`); with m = 0 there is no
+    search.
     """
     n = layer.n_experts
     if m == 0:
         return [], list(range(n)), {"stage1_mode": "none"}
     mode = _search_mode(n, m, budget)
-    core, diag = _search(_LossScorer(cache, layer, on_output), n, m, mode, budget)
+    core, diag = _search(_LossScorer(cache, layer, on_error), n, m, mode, budget)
     candidates = sorted(set(range(n)) - set(core))
     return core, candidates, {"stage1_mode": mode, "stage1_loss": diag["best_loss"]}
 
@@ -309,9 +311,10 @@ def prune_mop(
 ) -> PruningPlan:
     """Cluster-then-select: one top-variability representative per expert group.
 
-    The domains are found first, so that stage 1 hands each expert output it
-    computes to the performance matrix: every expert is applied to the
-    calibration inputs once.
+    The domains are found first, so that stage 1 hands the squared error of
+    each expert output it computes to the performance matrix: every expert is
+    applied to the calibration inputs once, and at m = 1 each squared error
+    is computed once.
     """
     m = _general_count(r, m, layer.n_experts)
     n_groups = r - m
@@ -324,13 +327,13 @@ def prune_mop(
     domains = _domains(labeling.labels, cache.n_tokens)
     rows: dict[int, np.ndarray] = {}
 
-    def record(e: int, out: np.ndarray) -> None:
-        rows[e] = _perf_row(out, cache.outputs_full, domains)
+    def record(e: int, error: np.ndarray) -> None:
+        rows[e] = _domain_errors(error, domains)[1] / domains.sizes
 
     general, candidates, stage_diag = _select_general(cache, layer, m, budget, record)
     for e in candidates:
         if e not in rows:  # m = 0: no search applied it
-            record(e, layer.experts[e].apply(cache.inputs))
+            rows[e] = _perf_row(layer.experts[e].apply(cache.inputs), cache.outputs_full, domains)
     perf = PerformanceMatrix(
         errors=np.array([rows[e] for e in candidates]),
         domain_sizes=domains.sizes,

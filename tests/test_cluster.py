@@ -532,6 +532,74 @@ def test_assignment_bounds_hold_in_exact_arithmetic(points_centroids, shift):
     check_bounds_exactly(points, centroids, moved)
 
 
+def recursive_moved_assign(points, sq_norms, norms, centroids, previous, bounds):
+    """`_assign`'s moved path with its redo rows assigned by a fresh `_assign`
+    of those rows alone, which computes their c2 and b anew."""
+    d = points.shape[1]
+    c2 = (centroids * centroids).sum(axis=1)
+    widen, bound = cluster._bound(norms, np.sqrt(c2.max()), d)
+    hi, lo = 1.0 + widen, 1.0 - widen
+    labels, upper, lower = bounds
+    moves = np.sqrt((((centroids - previous) ** 2).sum(axis=1) + d * 2.0**-1074) * hi) * hi
+    upper = (upper + moves[labels]) * hi
+    lower = np.maximum(lower - moves.max(), 0.0) * lo
+    labels = labels.copy()
+    redo = np.flatnonzero(~((lower - upper) * (lower + upper) > bound))
+    if redo.size:
+        rows = points[redo]
+        labels[redo], upper[redo], lower[redo] = cluster._assign(
+            rows, sq_norms[redo], norms[redo], centroids, np.empty_like(rows))
+    return labels, upper, lower
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(tie_prone_points(), far_points_small_gaps()), st.data())
+def test_fresh_rows_take_the_steps_norms_and_bounds(points_centroids, data):
+    """`_assign_fresh`, given the step's squared centroid norms and any rows'
+    slice of the step's b, labels those rows with `_sq_dists`' first minima,
+    exact ties included, with the bits of a fresh `_assign` of those rows
+    alone; and a moved assignment, whose redo rows it serves, keeps the bits
+    of one that assigns them by a fresh `_assign`."""
+    points, centroids = points_centroids
+    n, d = points.shape
+    redo = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    shift = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 1e3]))
+    with np.errstate(all="ignore"):
+        sq_norms = (points * points).sum(axis=1)
+        norms = np.sqrt(sq_norms)
+        c2 = (centroids * centroids).sum(axis=1)
+        widen, bound = cluster._bound(norms, np.sqrt(c2.max()), d)
+        rows = points[redo]
+        got = cluster._assign_fresh(rows, sq_norms[redo], centroids, c2, bound[redo],
+                                    1.0 + widen, 1.0 - widen)
+        alone = cluster._assign(rows, sq_norms[redo], norms[redo], centroids,
+                                np.empty_like(rows))
+        want = cluster._sq_dists(rows, centroids).argmin(axis=1)
+    assert np.array_equal(got[0], want)
+    for a, b in zip(got, alone):
+        assert a.tobytes() == b.tobytes()
+    check_moved(points, centroids, centroids + shift * np.arange(1, len(centroids) + 1)[:, None])
+
+
+def check_moved(points, centroids, previous):
+    with np.errstate(all="ignore"):
+        sq_norms = (points * points).sum(axis=1)
+        norms, scratch = np.sqrt(sq_norms), np.empty_like(points)
+        at_previous = cluster._assign(points, sq_norms, norms, previous, scratch)
+        moved = cluster._assign(points, sq_norms, norms, centroids, scratch,
+                                (previous, at_previous))
+        want = recursive_moved_assign(points, sq_norms, norms, centroids, previous, at_previous)
+    for a, b in zip(moved, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_moved_redo_row_takes_its_own_bound():
+    """Only the second row is redone (centroid 1 moved past it), and its b,
+    larger than the first row's, shows in its fresh bounds' bits."""
+    check_moved(np.array([[0.1], [5.05]]), np.array([[0.0], [10.0]]),
+                np.array([[0.0], [10.2]]))
+
+
 @pytest.mark.parametrize(
     "x, previous, centroids, upper, lower",
     [

@@ -20,6 +20,7 @@ from moe_prune.metrics import (
     _domain_errors,
     _domains,
     _perf_row,
+    _sq_error,
 )
 from moe_prune.moe_sim import forward_subset_batch
 
@@ -335,7 +336,7 @@ def test_domain_slices_match_masks(seed, n_tokens, width, n_domains, scale, skip
         return
     domains = _domains(labels, n_tokens)
     per_token = ((pred.astype(np.float64) - target.astype(np.float64)) ** 2).sum(axis=1)
-    got_per_token, got_sums = _domain_errors(pred, target, domains)
+    got_per_token, got_sums = _domain_errors(_sq_error(pred, target), domains)
     assert got_per_token.tobytes() == per_token.tobytes()
     assert got_sums.tobytes() == np.array([per_token[m].sum() for m in masks]).tobytes()
     assert domains.sizes.tobytes() == np.array([m.sum() for m in masks]).tobytes()

@@ -456,23 +456,35 @@ def test_search_applies_each_expert_once(rng, monkeypatch, mode, r):
     (0, 100, "none"), (1, 100, "exhaustive"), (2, 100, "exhaustive"), (2, 10, "greedy"),
 ])
 def test_mop_applies_each_expert_once(rng, monkeypatch, m, budget, mode):
-    """Stage 1 hands its outputs to the performance matrix, which then equals
-    one computed from fresh applies, bit for bit."""
+    """Stage 1 hands the squared errors of its outputs to the performance
+    matrix, which then equals one computed from fresh applies, bit for bit.
+    A squared error is computed once per kept set scored and once per
+    expert, except that an expert scored alone (m = 1) shares one."""
     layer = make_random_layer(rng, n=8)
     cache = make_random_cache(rng, layer)
     index = {id(expert): e for e, expert in enumerate(layer.experts)}
-    applied = []
-    apply = ExpertTransform.apply
+    applied, squared = [], []
+    apply, sq_error = ExpertTransform.apply, metrics._sq_error
 
     def counting_apply(self, x):
         if x is cache.inputs:
             applied.append(index[id(self)])
         return apply(self, x)
 
+    def counting_sq_error(pred, target):
+        squared.append(pred.shape)
+        return sq_error(pred, target)
+
     monkeypatch.setattr(ExpertTransform, "apply", counting_apply)
+    monkeypatch.setattr(metrics, "_sq_error", counting_sq_error)
     plan = prune_mop(cache, layer, 5, m=m, kmeans_seed=3, budget=budget)
+    monkeypatch.setattr(metrics, "_sq_error", sq_error)
     assert sorted(applied) == list(range(8))
     assert plan.diagnostics["stage1_mode"] == mode
+    # one per kept set scored (8 experts alone, C(8, 2) pairs, or greedy steps
+    # of 8, 7, ..., 3 sets) and one per expert, unless it was scored alone
+    sets = {"none": 0, "exhaustive": 8 if m == 1 else 28, "greedy": 33}[mode]
+    assert squared == [cache.outputs_full.shape] * (sets + (0 if m == 1 else 8))
     candidates = plan.diagnostics["candidate_ids"]
     perf = performance_matrix(cache, layer, candidates, plan.diagnostics["labels"])
     assert perf.errors.tobytes() == plan.diagnostics["perf_errors"].tobytes()

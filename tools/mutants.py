@@ -93,6 +93,15 @@ MUTANTS = {
     "assign-fresh-upper-no-slack": (
         "cluster.py", "np.maximum(best + 0.25 * bound, 0.0)", "np.maximum(best, 0.0)",
     ),
+    # a moved assignment hands its redo rows the step's c2 and their own b
+    "redo-rows-first-bounds": (
+        "cluster.py", "centroids, c2, bound[redo], hi, lo",
+        "centroids, c2, bound[: redo.size], hi, lo",
+    ),
+    "redo-rows-previous-c2": (
+        "cluster.py", "centroids, c2, bound[redo], hi, lo",
+        "centroids, (previous * previous).sum(axis=1), bound[redo], hi, lo",
+    ),
     "group-means-writes-previous": (
         "cluster.py", "centroids = previous.copy()", "centroids = previous",
     ),
@@ -108,6 +117,12 @@ MUTANTS = {
     "scorer-never-drops": (
         "metrics.py", "self._outputs = {e: out for e, out in self._outputs.items() if kept[e]}",
         "pass",
+    ),
+    # a one-expert set's squared error is its loss and its performance row:
+    # here each row gets the previous expert's
+    "perf-row-previous-error": (
+        "metrics.py", "self._on_error(e, error)",
+        "self._on_error(e, getattr(self, '_last', error)); self._last = error",
     ),
     "exhaustive-one-call": (
         "prune.py", "np.split(subsets, np.flatnonzero(np.diff(subsets[:, 0])) + 1)", "[subsets]",
@@ -127,6 +142,11 @@ MUTANTS = {
     # place in the candidate list
     "mop-scores-by-position": (
         "prune.py", "scores.scores[g]", "scores.scores[[candidates.index(i) for i in g]]",
+    ),
+    # mop's representative is the top-variability member of its group; the
+    # lowest one covers fewer domains when calibrated on one domain
+    "mop-lowest-variability-representative": (
+        "prune.py", "g[_top_k(scores.scores[g], 1)[0]]", "g[_top_k(-scores.scores[g], 1)[0]]",
     ),
     # `report` starts without dataclasses (and inspect, ast and dis)
     "cli-eager-dataclasses": ("cli.py", "import argparse", "import argparse, dataclasses"),
