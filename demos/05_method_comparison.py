@@ -13,11 +13,9 @@ from moe_prune import (
     PlantedSpec,
     compare_methods,
     comparison_to_text,
-    evaluate_plan,
     export_heatmap_csv,
     generate_calibration,
     generate_layer,
-    prune_mop,
 )
 
 spec = PlantedSpec(3, 2, 2, duplicate_noise=0.05, domain_separation=20.0, seed=42)
@@ -41,8 +39,7 @@ print(comparison_to_text(rows))
 print("coverage = fraction of planted domains with a retained specialist;")
 print("deltas are against the first row (exhaustive enumeration).")
 
-plan = prune_mop(calibration, layer, 4, m=1, kmeans_seed=0)
-report = evaluate_plan(layer, plan, heldout)
+report = rows[-1]["report"]  # the mop row's held-out evaluation
 print(f"\nmop on held-out data: overall={report.overall_loss:.2f}, "
       f"per-domain={[round(float(x), 2) for x in report.per_domain_loss]}, "
       f"coverage={report.coverage:.2f}")

@@ -40,10 +40,6 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _merge(path: str | None, name: str, default, value):
     """`value` laid over `default`, as a new object.
 
@@ -54,18 +50,18 @@ def _merge(path: str | None, name: str, default, value):
     if isinstance(default, dict):
         if not isinstance(value, dict):
             what = repr(name) if name else "root"
-            raise ConfigError(f"config {path}: {what} must be a JSON object")
+            raise ValueError(f"config {path}: {what} must be a JSON object")
         prefix = name + "." if name else ""
         for key in value:
             if key not in default:
-                raise ConfigError(f"config {path}: unknown key {prefix + key!r}")
+                raise ValueError(f"config {path}: unknown key {prefix + key!r}")
         return {
             key: _merge(path, prefix + key, item, value.get(key, item))
             for key, item in default.items()
         }
     expected = (int, float) if isinstance(default, float) else type(default)
     if not isinstance(value, expected) or isinstance(value, bool) != isinstance(default, bool):
-        raise ConfigError(
+        raise ValueError(
             f"config {path}: {name} must be {type(default).__name__}, got {type(value).__name__}"
         )
     return value
@@ -79,13 +75,13 @@ def load_config(path: str | None) -> dict:
             try:
                 user = json.load(fh)
             except ValueError as exc:  # malformed JSON or not UTF-8
-                raise ConfigError(f"config {path}: not valid JSON: {exc}") from None
+                raise ValueError(f"config {path}: not valid JSON: {exc}") from None
     return _merge(path, "", DEFAULT_CONFIG, user)
 
 
 def validate_config(config: dict) -> None:
     if config["calibration"]["seed"] == config["heldout"]["seed"]:
-        raise ConfigError(
+        raise ValueError(
             "calibration.seed must differ from heldout.seed "
             f"(both are {config['calibration']['seed']})"
         )

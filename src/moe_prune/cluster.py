@@ -42,23 +42,10 @@ class SimilarityMatrix:
 
 @dataclass
 class ExpertPartition:
-    """Disjoint grouping of candidate experts, plus the merge record."""
+    """`ward_partition`'s disjoint, nonempty groups of candidate experts, plus the merge record."""
 
     groups: list[list[int]]
     merge_trace: list[tuple[tuple[int, ...], tuple[int, ...], float]]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for group in self.groups:
-            if not group:
-                raise ValueError("partition contains an empty group")
-            members = set(group)
-            if members & seen:
-                raise ValueError("partition groups overlap")
-            seen |= members
-        for _, _, cost in self.merge_trace:
-            if cost < 0:
-                raise ValueError("merge costs must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def compare_methods(
     an unknown key raises a TypeError that names it.
 
     Deltas are against the first config; wall_time_s is the only
-    non-deterministic column.
+    non-deterministic column. A row's "report" is its plan's EvalReport.
     """
     if not configs:
         raise ValueError("configs must be nonempty")

@@ -41,11 +41,6 @@ PROVENANCE_TAGS = ("general", "diversity", "baseline")  # in the order `prune` p
 PROVENANCE_GENERAL, PROVENANCE_DIVERSITY, PROVENANCE_BASELINE = PROVENANCE_TAGS
 
 
-def default_general_count(r: int) -> int:
-    """Default size of the general core: half the slots, never all of them."""
-    return min(math.ceil(r / 2), r - 1)
-
-
 def _check_r(r: int, n: int) -> None:
     if not 1 <= r <= n:
         raise ValueError(f"r {r} outside [1, {n}]")
@@ -130,6 +125,7 @@ def prune_frequency(cache: CalibrationCache, layer: MoELayer, r: int) -> Pruning
     """Keep the r most frequently top-k-activated experts."""
     n = layer.n_experts
     _check_r(r, n)
+    _check_cache_layer(cache, layer)
     counts = activation_frequency(cache, layer.top_k)
     return PruningPlan(
         method="frequency",
@@ -237,13 +233,14 @@ def prune_enum(
     )
 
 
-def _general_count(r: int, m: int | None, n: int) -> int:
-    """Checks r and m for gvp and mop; returns m (default: default_general_count(r))."""
-    _check_r(r, n)
+def _general_count(cache: CalibrationCache, layer: MoELayer, r: int, m: int | None) -> int:
+    """Checks r, m and the cache for gvp and mop; returns m (default: half the slots, not all)."""
+    _check_r(r, layer.n_experts)
     if m is None:
-        m = default_general_count(r)
+        m = min(math.ceil(r / 2), r - 1)
     if not 0 <= m < r:
         raise ValueError(f"m {m} outside [0, {r})")
+    _check_cache_layer(cache, layer)
     return m
 
 
@@ -292,7 +289,7 @@ def prune_gvp(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> PruningPlan:
     """General core by reconstruction loss, then a global variability ranking."""
-    m = _general_count(r, m, layer.n_experts)
+    m = _general_count(cache, layer, r, m)
     general, candidates, stage_diag = _select_general(cache, layer, m, budget)
     scores = variability_scores(cache)
     return _core_plan(
@@ -316,9 +313,8 @@ def prune_mop(
     applied to the calibration inputs once, and at m = 1 each squared error
     is computed once.
     """
-    m = _general_count(r, m, layer.n_experts)
+    m = _general_count(cache, layer, r, m)
     n_groups = r - m
-    _check_cache_layer(cache, layer)
     if kmeans_seed < 0:
         raise ValueError(f"kmeans_seed must be >= 0, got {kmeans_seed}")
 

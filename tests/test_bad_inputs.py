@@ -21,6 +21,8 @@ from moe_prune import (
     kmeans,
     performance_matrix,
     prune_enum,
+    prune_frequency,
+    prune_gvp,
     prune_mop,
     prune_random,
 )
@@ -148,6 +150,15 @@ BAD_INPUTS = {
     "kmeans_1d_points": (lambda: kmeans(np.zeros(4), k=1, seed=0), "points must be a 2-D matrix"),
     # prune
     "random_negative_seed": (lambda: prune_random(3, 2, seed=-3), "seed must be >= 0, got -3"),
+    "frequency_cache_expert_count": (
+        lambda: prune_frequency(*scoring_pair(2), 2),
+        "cache gate_probs expert count does not match layer",
+    ),
+    # gvp and mop check the cache before any work: m = 0 runs no search
+    "gvp_cache_expert_count": (
+        lambda: prune_gvp(*scoring_pair(2), 2, m=0),
+        "cache gate_probs expert count does not match layer",
+    ),
     "mop_negative_kmeans_seed": (
         lambda: prune_mop(*scoring_pair(), 2, kmeans_seed=-3), "kmeans_seed must be >= 0, got -3",
     ),

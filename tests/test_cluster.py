@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from moe_prune import cluster
 from moe_prune.cluster import (
-    ExpertPartition,
     fractional_ranks,
     kmeans,
     similarity_matrix,
@@ -310,15 +309,6 @@ def test_ward_validation(rng):
     twice = make_perf(rng.random((4, 3)), ids=[9, 10, 9, 12])
     with pytest.raises(ValueError, match="unique"):
         ward_partition(twice, similarity_matrix(twice), 2)
-
-
-def test_partition_invariants():
-    with pytest.raises(ValueError, match="empty group"):
-        ExpertPartition(groups=[[0], []], merge_trace=[])
-    with pytest.raises(ValueError, match="overlap"):
-        ExpertPartition(groups=[[0, 1], [1, 2]], merge_trace=[])
-    with pytest.raises(ValueError, match="nonnegative"):
-        ExpertPartition(groups=[[0]], merge_trace=[((0,), (1,), -1.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from moe_prune import (
 )
 from moe_prune.cli import METHOD_CHOICES
 from moe_prune.evaluation import report_to_csv
-from moe_prune.prune import default_general_count
 
 from conftest import (
     make_duplicated_specialist_fixture,
@@ -198,23 +197,19 @@ def test_gvp_validates_m(rng):
         prune_gvp(cache, layer, r=2, m=2)
 
 
-def test_default_general_count():
-    assert default_general_count(1) == 0
-    assert default_general_count(2) == 1
-    assert default_general_count(4) == 2
-    assert default_general_count(5) == 3
-
-
 @pytest.mark.parametrize("prune", [prune_gvp, prune_mop])
-@pytest.mark.parametrize("r", [2, 4, 5])
-def test_m_defaults_to_default_general_count(prune, r):
+@pytest.mark.parametrize(
+    "r, m", [pytest.param(r, m, id=str(r)) for r, m in [(1, 0), (2, 1), (4, 2), (5, 3)]]
+)
+def test_m_defaults_to_default_general_count(prune, r, m):
+    # the general core defaults to half the slots, never all of them
     spec, layer, calib, _ = make_planted(seed=43)
-    implicit = prune(calib, layer, r=r)
-    explicit = prune(calib, layer, r=r, m=default_general_count(r))
+    implicit = prune(calib, layer, r=r, m=None)
+    explicit = prune(calib, layer, r=r, m=m)
     assert implicit.kept == explicit.kept
     assert implicit.provenance == explicit.provenance
     assert implicit.params == explicit.params
-    assert implicit.params["m"] == default_general_count(r)
+    assert implicit.params["m"] == m
     assert implicit.diagnostics.keys() == explicit.diagnostics.keys()
     for key, value in implicit.diagnostics.items():
         if isinstance(value, np.ndarray):

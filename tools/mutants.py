@@ -3,11 +3,12 @@ bit-exact kernels, of the checks that name bad inputs, of the staged
 commit that every written file goes through and of what `report` imports.
 
 Each mutant replaces one exact fragment of one line in one file of
-``src/moe_prune``. It is applied to a fresh copy of the repository in a
-temporary directory, and the tier-1 tests run there with fixed hypothesis and
-hash seeds, stopping at the first failure. A mutant is killed when a test fails and
-survives when every test passes; a fragment that no longer occurs exactly once
-is reported as stale, so the catalogue cannot drift silently from the code.
+``src/moe_prune`` (of two lines, where one line's text occurs twice). It is
+applied to a fresh copy of the repository in a temporary directory, and the
+tier-1 tests run there with fixed hypothesis and hash seeds, stopping at the
+first failure. A mutant is killed when a test fails and survives when every
+test passes; a fragment that no longer occurs exactly once is reported as
+stale, so the catalogue cannot drift silently from the code.
 
     python tools/mutants.py            # every mutant, in catalogue order
     python tools/mutants.py NAME ...   # only the named ones
@@ -126,6 +127,13 @@ MUTANTS = {
     ),
     "exhaustive-one-call": (
         "prune.py", "np.split(subsets, np.flatnonzero(np.diff(subsets[:, 0])) + 1)", "[subsets]",
+    ),
+    # prune_frequency, and the one door of gvp and mop, check the cache's layer
+    "frequency-no-cache-check": (
+        "prune.py", "_check_cache_layer(cache, layer)\n    counts = ", "counts = ",
+    ),
+    "general-count-no-cache-check": (
+        "prune.py", "_check_cache_layer(cache, layer)\n    return m", "return m",
     ),
     "reconstruction-loss-unchecked": (
         "metrics.py", "idx = _sorted_kept(kept, layer.n_experts)", "idx = list(kept)",
