@@ -11,12 +11,21 @@ log2(n_tokens).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .moe_sim import CalibrationCache, MoELayer, _combine, _route_batch, _sorted_kept, _top_k
+from .moe_sim import (
+    CalibrationCache,
+    MoELayer,
+    _combine,
+    _route_batch,
+    _route_ranked,
+    _sorted_kept,
+    _top_k,
+)
 
 
 @dataclass
@@ -64,7 +73,7 @@ def _sq_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return diff
 
 
-# logits routed per `_route_batch` call of a search, B*N*s, and gate entries
+# logits routed per routing call of a search, B*N*s, and gate entries
 # per block of `variability_scores`: large enough that the per-call cost of
 # the numpy calls fades, small enough that their temporaries add little to
 # peak memory
@@ -77,20 +86,38 @@ class _LossScorer:
     The cache and the layer are checked once, when the scorer is made. A
     search hands `losses` one block of kept sets at a time (the subsets
     that share a first element, or one greedy step's candidates), which
-    are routed in batches of at most `_BATCH_LOGITS` logits by one
-    `_route_batch` call each, so no batch spans two blocks. A set's
-    logits come from the same BLAS call whatever else is in its batch, so
-    its weights, and so its loss, keep their bits. An expert's output does
-    not depend on the set, so each one is computed on first use and kept
-    until a call none of whose sets keeps the expert: that call drops it
-    before computing anything. No search comes back to a dropped expert,
-    so each output is computed once.
+    are routed in batches of at most `_BATCH_LOGITS` logits by one routing
+    call each, so no batch spans two blocks. A set's logits come from the
+    same BLAS call whatever else is in its batch, so its weights, and so
+    its loss, keep their bits.
 
-    `on_error(e, error)`, if given, sees the squared error of each output
-    against the full layer as the output is computed. When that output is
-    a one-expert set's whole prediction, the set is scored with the same
-    array, so its squared error is computed once; the scorer keeps no
-    squared error after the set is scored.
+    An expert's output does not depend on the set, so each one is computed
+    once, by `ExpertTransform.apply` straight into a row block of one f32
+    store, and kept until a call none of whose sets keeps the expert: that
+    call drops it before computing anything. No search comes back to a
+    dropped expert, so each output is computed once. The store has one
+    block per expert of the largest call so far (it grows, moving what it
+    holds, when a call keeps more), so it holds at most the outputs a call
+    needs at once.
+
+    A set of two or more experts is combined from the rank-major routing
+    (`_route_ranked`): each token's prediction gathers the store rows of its
+    top-k experts, times their weights, added in ascending expert order as
+    `_combine` adds them. The terms `_combine` adds besides these are zero
+    weights times finite outputs, which change at most the sign of a zero,
+    a sign the squared error removes; so every loss keeps its bits. Two
+    terms add the same in either order, so only at k >= 3 are each token's
+    terms put in expert order, once per routing batch. A batch with a
+    non-finite weight, and a set that keeps an output with a non-finite
+    value (where `_combine` turns 0 * inf into NaN), is scored densely:
+    `_route_batch`'s weights and `_combine`.
+
+    A one-expert set takes `_route_batch`'s s = 1 shortcut. `on_error(e,
+    error)`, if given, sees the squared error of each output against the
+    full layer as the output is computed. When that output is a one-expert
+    set's whole prediction, the set is scored with the same array, so its
+    squared error is computed once; the scorer keeps no squared error after
+    the set is scored.
     """
 
     def __init__(
@@ -103,15 +130,30 @@ class _LossScorer:
         self._cache = cache
         self._layer = layer
         self._target = cache.outputs_full.astype(np.float64)
-        self._outputs: dict[int, np.ndarray] = {}
         self._on_error = on_error
+        # expert e's output is rows [j*N, (j+1)*N) of the store for j =
+        # _slots[e]; and whether it is all finite, once a set of two or more
+        # has kept it
+        self._store = np.empty((0, layer.hidden_dim), dtype=np.float32)
+        self._slots: dict[int, int] = {}
+        self._finite: dict[int, bool] = {}
+
+    def _held(self, e: int) -> np.ndarray:
+        j, n_rows = self._slots[e], self._cache.n_tokens
+        return self._store[j * n_rows : (j + 1) * n_rows]
+
+    def _apply(self, e: int) -> np.ndarray:
+        """Expert e's output, computed into the first free block of the store."""
+        used = set(self._slots.values())
+        self._slots[e] = next(j for j in itertools.count() if j not in used)
+        return self._layer.experts[e].apply(self._cache.inputs, out=self._held(e))
 
     def _output(self, e: int) -> np.ndarray:
-        out = self._outputs.get(e)
-        if out is None:
-            out = self._outputs[e] = self._layer.experts[e].apply(self._cache.inputs)
-            if self._on_error is not None:
-                self._on_error(e, _sq_error(out, self._target))
+        if e in self._slots:
+            return self._held(e)
+        out = self._apply(e)
+        if self._on_error is not None:
+            self._on_error(e, _sq_error(out, self._target))
         return out
 
     def losses(self, subsets: np.ndarray) -> np.ndarray:
@@ -119,10 +161,22 @@ class _LossScorer:
 
         Each row must be ascending, unique and in range; nothing is checked.
         """
+        n_rows = self._cache.n_tokens
         kept = np.zeros(self._layer.n_experts, dtype=bool)
         kept[subsets] = True
-        self._outputs = {e: out for e, out in self._outputs.items() if kept[e]}
-        per_batch = max(1, _BATCH_LOGITS // (self._cache.n_tokens * subsets.shape[1]))
+        self._slots = {e: j for e, j in self._slots.items() if kept[e]}
+        n_kept = int(np.count_nonzero(kept))
+        if n_kept * n_rows > len(self._store):  # the held outputs move to the first blocks
+            store = np.empty((n_kept * n_rows, self._layer.hidden_dim), dtype=np.float32)
+            for j, e in enumerate(self._slots):
+                store[j * n_rows : (j + 1) * n_rows] = self._held(e)
+            self._store, self._slots = store, {e: j for j, e in enumerate(self._slots)}
+        if subsets.shape[1] > 1:  # the gathered combine reads every kept output
+            for e in np.flatnonzero(kept).tolist():
+                out = self._output(e)
+                if e not in self._finite:
+                    self._finite[e] = bool(np.isfinite(out).all())
+        per_batch = max(1, _BATCH_LOGITS // (n_rows * subsets.shape[1]))
         out = np.empty(len(subsets), dtype=np.float64)
         for start in range(0, len(subsets), per_batch):
             batch = subsets[start : start + per_batch]
@@ -130,22 +184,68 @@ class _LossScorer:
         return out
 
     def _batch_losses(self, batch: np.ndarray) -> list[float]:
-        # one routing call; then each set's output is added up, scored and
+        # one routing call; then each set's prediction is made, scored and
         # dropped before the next one's, and the weights die on return
-        weights = _route_batch(self._layer, batch, self._cache.inputs)
-        return [self._error(w, idx).sum() for w, idx in zip(weights, batch.tolist())]
+        losses = self._gathered_losses(batch) if batch.shape[1] > 1 else None
+        if losses is None:
+            weights = _route_batch(self._layer, batch, self._cache.inputs)
+            losses = [self._error(w, idx).sum() for w, idx in zip(weights, batch.tolist())]
+        return losses
+
+    def _gathered_losses(self, batch: np.ndarray) -> list[float] | None:
+        """The batch's losses from the rank-major routing, or None if a
+        weight is not finite."""
+        order, top = _route_ranked(self._layer, batch, self._cache.inputs)
+        if not np.isfinite(top).all():
+            return None
+        n_sets, s = batch.shape
+        n_rows, k = self._cache.n_tokens, len(order)
+        if k > 2:  # each token's terms in ascending column, so expert, order
+            pos = np.argsort(order, axis=0)
+            order = np.take_along_axis(order, pos, axis=0)
+            top = np.take_along_axis(top, pos, axis=0)
+            del pos
+        # the store row of each term: its expert's block, then its token
+        sets = batch.tolist()
+        blocks = np.array([[self._slots[e] * n_rows for e in idx] for idx in sets])
+        order = order.reshape(k, n_sets, n_rows)
+        order += (np.arange(n_sets) * s)[:, None]
+        rows = np.take(blocks, order)
+        del order
+        rows += np.arange(n_rows)
+        top = top.reshape(k, n_sets, n_rows, 1)
+
+        def set_error(b: int, idx: list[int]) -> np.ndarray:
+            if all(self._finite[e] for e in idx):
+                return _sq_error(self._gather(rows[:, b], top[:, b]), self._target)
+            # an output with a non-finite value, which `_combine` multiplies by
+            # its zero weights too
+            weights = _route_batch(self._layer, batch[b : b + 1], self._cache.inputs)[0]
+            return self._error(weights, idx)
+
+        return [set_error(b, idx).sum() for b, idx in enumerate(sets)]
+
+    def _gather(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """One set's prediction: the sum over j of its store rows `rows[j]`
+        times `weights[j]`, added in the order of j."""
+        pred = self._store.take(rows[0], axis=0)
+        pred *= weights[0]
+        for j in range(1, len(rows)):
+            term = self._store.take(rows[j], axis=0)
+            term *= weights[j]
+            pred += term
+        return pred
 
     def _error(self, weights: np.ndarray, idx: list[int]) -> np.ndarray:
-        """The squared error of one kept set's prediction."""
+        """The squared error of one kept set's prediction, combined densely."""
         if len(idx) > 1 or not (weights == 1).all():
             return _sq_error(_combine(self._layer, weights, idx, self._output), self._target)
         # one expert weighted exactly 1 everywhere: combining would add its output
         # to zeros, turning at most a -0.0 into +0.0, a sign the square removes
         e = idx[0]
-        if e in self._outputs or self._on_error is None:
+        if e in self._slots or self._on_error is None:
             return _sq_error(self._output(e), self._target)
-        out = self._outputs[e] = self._layer.experts[e].apply(self._cache.inputs)
-        error = _sq_error(out, self._target)
+        error = _sq_error(self._apply(e), self._target)
         self._on_error(e, error)
         return error
 

@@ -54,11 +54,12 @@ class ExpertTransform:
     def ff_dim(self) -> int:
         return self.w_in.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Expert output for a batch of rows, shape [N, hidden_dim]."""
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Expert output for a batch of rows, shape [N, hidden_dim], written
+        into `out` (a C-contiguous f32 array of that shape) when given."""
         hidden = x @ self.w_in.T
         np.maximum(hidden, np.float32(0.0), out=hidden)
-        return hidden @ self.w_out.T
+        return np.matmul(hidden, self.w_out.T, out=out)
 
 
 @dataclass
@@ -334,8 +335,13 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-values, axis=-1, kind="stable")[..., :k]
 
 
-def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Routing weights [B, s, N] of B kept sets `idx` [B, s] for `inputs`.
+def _route_ranked(
+    layer: MoELayer, idx: np.ndarray, inputs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-major routing of B kept sets `idx` [B, s]: `order`, each
+    token's top-k columns of its set (largest logit first), and `top`, their
+    renormalized weights, both [k, B*N], token u = b*N + t being token t of
+    set b; k = min(top_k, s).
 
     Each row of `idx` must be ascending, unique and in range, and `inputs` a
     checked f32 [N, hidden_dim] array; nothing is checked here. Set b's
@@ -345,26 +351,20 @@ def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.nda
     N rows), so every set's logits keep their bits whatever B is. The top-k
     order is `_top_k` of each token's logits, as in the token-major
     formula. Everything after the top-k runs rank-major on [k, B*N]
-    arrays gathered and scattered through flat indices: reductions over a
-    long axis are far cheaper in numpy than over a length-k one, and give
-    the same values. Every step is per token, so a set's weights do not
-    depend on the other sets in the batch. With one kept expert (s = 1) the
-    weight is just exp(l - l) / exp(l - l): exactly 1 for a finite logit l,
-    NaN otherwise; there is nothing to sort, gather or scatter.
+    arrays gathered through flat indices: reductions over a long axis are
+    far cheaper in numpy than over a length-k one, and give the same
+    values. Every step is per token, so a set's weights do not depend on
+    the other sets in the batch.
     """
     logits = np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))  # [B, N, s]
-    n_sets, n_rows, s = logits.shape
-    if s == 1:
-        weights = np.exp(logits - logits)
-        return np.divide(weights, weights, out=weights).reshape(n_sets, 1, n_rows)
+    s = logits.shape[2]
     k_sel = min(layer.top_k, s)
     # the restricted softmax ranks as the logits do; column order is expert order
     order = _top_k(logits.reshape(-1, s), k_sel).T.copy()  # [k, B*N]
-    tokens = np.arange(n_sets * n_rows)  # token u = b*N + t is token t of set b
     # renormalized top-k probabilities == softmax over just the selected
     # logits; computing it that way keeps the weights independent of the
     # non-selected experts down to the last bit
-    top = np.take(logits, order + tokens * s)
+    top = np.take(logits, order + np.arange(order.shape[1]) * s)
     del logits
     top -= top.max(axis=0)
     np.exp(top, out=top)
@@ -375,8 +375,29 @@ def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.nda
         top /= top.sum(axis=0)
     else:
         top /= np.ascontiguousarray(top.T).sum(axis=1)
+    return order, top
+
+
+def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Routing weights [B, s, N] of B kept sets `idx` [B, s] for `inputs`:
+    `_route_ranked`'s weights scattered into their columns, zero elsewhere,
+    for `_combine`: the pruned-layer forward's, and the scorer's for what it
+    scores densely.
+
+    The same preconditions as `_route_ranked`. With one kept expert (s = 1)
+    the weight is just exp(l - l) / exp(l - l): exactly 1 for a finite logit
+    l, NaN otherwise; there is nothing to sort, gather or scatter.
+    """
+    n_sets, s = idx.shape
+    n_rows = inputs.shape[0]
+    if s == 1:
+        logits = np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))
+        weights = np.exp(logits - logits)
+        return np.divide(weights, weights, out=weights).reshape(n_sets, 1, n_rows)
+    order, top = _route_ranked(layer, idx, inputs)
     # column c of token u goes to weights[b, c, t], flat c*N + u + b*(s-1)*N;
     # the last term is 0 for a single set
+    tokens = np.arange(n_sets * n_rows)
     if n_sets > 1:
         tokens += (tokens // n_rows) * ((s - 1) * n_rows)
     weights = np.zeros(n_sets * s * n_rows, dtype=np.float32)

@@ -11,7 +11,7 @@ logits tie exactly. That formula lives only here, as the oracle.
 import collections
 import itertools
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +257,69 @@ def test_route_batch_matches_per_subset_formula_set_by_set(data):
         assert np.array_equal(got, want.T)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_gathered_combine_matches_dense_combine(data):
+    """A set of two or more experts is combined from each token's top-k
+    store rows, not from all of its `_combine` terms. Its squared errors are
+    still bit for bit those of `_combine` on `_route_batch`'s dense weights,
+    at top_k 1, 2, 3, 6 and 8 and s from 2 to n (s <= top_k too), on logits
+    that tie and on weights that underflow to 0. A batch with a non-finite
+    weight (an overflowing router row), and a set that keeps an output with
+    a non-finite value (an overflowing expert), take `_combine` itself."""
+    top_k = data.draw(st.sampled_from([1, 2, 3, 6, 8]))
+    if data.draw(st.booleans()):
+        layer, cache = data.draw(tied_layers_and_caches(min_n=max(2, top_k)))
+    else:
+        layer, cache = data.draw(layers_and_caches(max_n=12, max_tokens=64, min_n=max(2, top_k)))
+    n = layer.n_experts
+    # a scale of 1e3 spreads the logits so far that many weights underflow to 0
+    router = layer.router * data.draw(st.sampled_from([1.0, 1e3]))
+    experts = list(layer.experts)
+    hazard, bad = data.draw(st.sampled_from(["none", "logits", "output"])), data.draw(
+        st.integers(0, n - 1))
+    if hazard == "logits" and np.abs(router[bad]).max() > 0:
+        router[bad] /= np.abs(router[bad]).max()
+        router[bad] *= 3e38
+    if hazard == "output" and np.abs(experts[bad].w_out).max() > 0:
+        w_out = experts[bad].w_out / np.abs(experts[bad].w_out).max()
+        experts[bad] = ExpertTransform(experts[bad].w_in, w_out * np.float32(3e38))
+    layer = MoELayer(router=router, experts=experts, top_k=top_k)
+    s = data.draw(st.integers(2, n))
+    n_sets = data.draw(st.integers(1, 6))
+    rows = [sorted(data.draw(st.permutations(range(n)))[:s]) for _ in range(n_sets)]
+    batch = np.array(rows, dtype=np.intp)
+
+    errors, combined = [], []
+    sq_error, combine = metrics._sq_error, metrics._combine
+
+    def recording_sq_error(pred, target):
+        errors.append(sq_error(pred, target))
+        return errors[-1]
+
+    def recording_combine(layer, weights, idx, output):
+        combined.append(list(idx))
+        return combine(layer, weights, idx, output)
+
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_sq_error", recording_sq_error)
+        patch.setattr(metrics, "_combine", recording_combine)
+        losses = _LossScorer(cache, layer).losses(batch)
+        assert len(errors) == len(rows)  # one routing batch, one squared error per set
+        patch.undo()
+        outputs = [expert.apply(cache.inputs) for expert in layer.experts]
+        weights = _route_batch(layer, batch, cache.inputs)
+        target = cache.outputs_full.astype(np.float64)
+        for got, loss, w, idx in zip(errors, losses, weights, rows):
+            want = sq_error(combine(layer, w, idx, outputs.__getitem__), target)
+            assert got.tobytes() == want.tobytes()
+            assert loss.tobytes() == want.sum().tobytes()
+    finite = [np.isfinite(outputs[e]).all() for e in range(n)]
+    dense = [idx for idx in rows
+             if not np.isfinite(weights).all() or not all(finite[e] for e in idx)]
+    assert combined == dense
+
+
 @pytest.mark.parametrize("budget", [1, 2**62], ids=["one_set_per_batch", "unlimited"])
 @settings(deadline=None, max_examples=25)
 @given(
@@ -358,19 +421,21 @@ def test_one_expert_stage1_sorts_and_combines_nothing(rng, monkeypatch, prune):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
 def test_searches_route_once_per_batch(rng, monkeypatch, mode):
-    """A search routes a whole batch of kept sets per `_route_batch` call,
-    never one call per subset."""
+    """A search routes a whole batch of kept sets per routing call
+    (`_route_ranked`, or `_route_batch` for one-expert sets and for a batch
+    scored densely), never one call per subset."""
     layer = make_random_layer(rng, n=8)
     cache = make_random_cache(rng, layer)
     shapes = []
-    route_batch = moe_sim._route_batch
 
-    def counting(layer, idx, inputs):
-        shapes.append(idx.shape)
-        return route_batch(layer, idx, inputs)
+    def counting(route):
+        def wrapper(layer, idx, inputs):
+            shapes.append(idx.shape)
+            return route(layer, idx, inputs)
+        return wrapper
 
-    monkeypatch.setattr(moe_sim, "_route_batch", counting)
-    monkeypatch.setattr(metrics, "_route_batch", counting)
+    monkeypatch.setattr(metrics, "_route_ranked", counting(metrics._route_ranked))
+    monkeypatch.setattr(metrics, "_route_batch", counting(metrics._route_batch))
     plan = prune_enum(cache, layer, 4, mode=mode)
 
     def batches(n_sets, s):  # the calls that route n_sets kept sets of size s
@@ -414,20 +479,20 @@ def test_scorer_checks_once_per_search_and_kept_sets_per_call(rng, monkeypatch):
     assert reconstruction_loss(cache, layer, (e for e in (4, 6, 1))) == want
 
 
-def watch_outputs(monkeypatch):
-    """From now on, weak references to every expert output computed, and the
-    largest number of them alive at once, counted at each apply."""
-    refs, peak = [], [0]
+def watch_store(monkeypatch):
+    """From now on, every expert applied to a search's inputs, in order, and
+    the largest number of outputs the scorer's store held at once: the
+    blocks of the store each output is written into."""
+    applied, peak = [], [0]
     apply = ExpertTransform.apply
 
-    def counting_apply(self, x):
-        out = apply(self, x)
-        refs.append(weakref.ref(out))
-        peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
-        return out
+    def counting_apply(self, x, out=None):
+        applied.append(self)
+        peak[0] = max(peak[0], out.base.nbytes // out.nbytes)
+        return apply(self, x, out)
 
     monkeypatch.setattr(ExpertTransform, "apply", counting_apply)
-    return refs, peak
+    return applied, peak
 
 
 @pytest.mark.parametrize("search", [
@@ -437,19 +502,40 @@ def watch_outputs(monkeypatch):
 def test_single_expert_search_holds_one_output(rng, monkeypatch, search):
     layer = make_random_layer(rng, n=8)
     cache = make_random_cache(rng, layer)
-    refs, peak = watch_outputs(monkeypatch)
+    applied, peak = watch_store(monkeypatch)
     search(cache, layer)
-    assert len(refs) == 8
+    assert len(applied) == 8
     assert peak[0] == 1
+
+
+def test_two_expert_loss_stores_two_outputs(rng, monkeypatch):
+    """`reconstruction_loss` sizes the store by the experts it keeps, not by
+    the layer's: two of 64 experts hold two outputs. The traced peak of
+    the call stays far below the 64 blocks a store of every output takes."""
+    layer = make_random_layer(rng, n=64, hidden=32, ff=16)
+    cache = make_random_cache(rng, layer, n_tokens=512)
+    block = cache.outputs_full.nbytes
+    want = reconstruction_loss(cache, layer, [5, 40])  # warm every cache first
+    tracemalloc.start()
+    try:
+        assert reconstruction_loss(cache, layer, [5, 40]) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * block, f"{peak / block:.1f} output blocks"
+    applied, held = watch_store(monkeypatch)
+    assert reconstruction_loss(cache, layer, [5, 40]) == want
+    assert applied == [layer.experts[5], layer.experts[40]]
+    assert held[0] == 2
 
 
 @pytest.mark.parametrize("mode, r", [("exhaustive", 3), ("greedy", 2)])
 def test_search_applies_each_expert_once(rng, monkeypatch, mode, r):
     layer = make_random_layer(rng, n=6)
     cache = make_random_cache(rng, layer)
-    refs, _ = watch_outputs(monkeypatch)
+    applied, _ = watch_store(monkeypatch)
     prune_enum(cache, layer, r, mode=mode)
-    assert len(refs) == 6
+    assert len(applied) == 6
 
 
 @pytest.mark.parametrize("m, budget, mode", [
@@ -466,10 +552,10 @@ def test_mop_applies_each_expert_once(rng, monkeypatch, m, budget, mode):
     applied, squared = [], []
     apply, sq_error = ExpertTransform.apply, metrics._sq_error
 
-    def counting_apply(self, x):
+    def counting_apply(self, x, out=None):
         if x is cache.inputs:
             applied.append(index[id(self)])
-        return apply(self, x)
+        return apply(self, x, out)
 
     def counting_sq_error(pred, target):
         squared.append(pred.shape)

@@ -113,11 +113,23 @@ MUTANTS = {
         "cluster.py", 'np.take(centroids, labels, axis=0, out=scratch, mode="clip")  # each point',
         "scratch = centroids[labels]  # each point",
     ),
-    # the scorer drops each output no set of a call keeps; the exhaustive search
-    # hands it one block per first expert, so the outputs it drops are freed early
+    # the scorer drops each output no set of a call keeps, which frees its block
+    # of the store for the call's other experts; the store has a block per
+    # expert of the largest call, not one per expert of the layer
     "scorer-never-drops": (
-        "metrics.py", "self._outputs = {e: out for e, out in self._outputs.items() if kept[e]}",
-        "pass",
+        "metrics.py", "self._slots = {e: j for e, j in self._slots.items() if kept[e]}", "pass",
+    ),
+    "store-sized-by-layer": (
+        "metrics.py", "n_kept = int(np.count_nonzero(kept))", "n_kept = self._layer.n_experts",
+    ),
+    # the gathered combine: top_k >= 3 terms summed in rank order, not expert
+    # order; and non-finite weights or outputs not sent to the dense combine
+    "gather-rank-order": ("metrics.py", "if k > 2:", "if False:"),
+    "gather-no-nonfinite-weight-guard": (
+        "metrics.py", "if not np.isfinite(top).all():", "if False:",
+    ),
+    "gather-no-nonfinite-output-guard": (
+        "metrics.py", "if all(self._finite[e] for e in idx):", "if True:",
     ),
     # a one-expert set's squared error is its loss and its performance row:
     # here each row gets the previous expert's
