@@ -73,6 +73,9 @@ def _sq_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return diff
 
 
+# the store of a scorer that holds no output
+_NO_STORE = np.empty((0, 0), dtype=np.float32)
+
 # logits routed per routing call of a search, B*N*s, and gate entries
 # per block of `variability_scores`: large enough that the per-call cost of
 # the numpy calls fades, small enough that their temporaries add little to
@@ -96,9 +99,11 @@ class _LossScorer:
     store, and kept until a call none of whose sets keeps the expert: that
     call drops it before computing anything. No search comes back to a
     dropped expert, so each output is computed once. The store has one
-    block per expert of the largest call so far (it grows, moving what it
-    holds, when a call keeps more), so it holds at most the outputs a call
-    needs at once.
+    block per expert of the largest call since the last call that held
+    nothing: it grows, moving what it holds, when a call keeps more, keeps
+    its size when later calls keep fewer, and is made anew by a call that
+    holds none of its outputs. A call that keeps one expert and holds
+    nothing takes the output `apply` returns as its store.
 
     A set of two or more experts is combined from the rank-major routing
     (`_route_ranked`): each token's prediction gathers the store rows of its
@@ -107,10 +112,10 @@ class _LossScorer:
     weights times finite outputs, which change at most the sign of a zero,
     a sign the squared error removes; so every loss keeps its bits. Two
     terms add the same in either order, so only at k >= 3 are each token's
-    terms put in expert order, once per routing batch. A batch with a
-    non-finite weight, and a set that keeps an output with a non-finite
-    value (where `_combine` turns 0 * inf into NaN), is scored densely:
-    `_route_batch`'s weights and `_combine`.
+    terms put in expert order, once per routing batch. Where `_combine`
+    turns 0 * inf into NaN, the whole batch is scored densely, by
+    `_route_batch`'s weights and `_combine`: when one of its weights is not
+    finite, or when an output the call keeps has a non-finite value.
 
     A one-expert set takes `_route_batch`'s s = 1 shortcut. `on_error(e,
     error)`, if given, sees the squared error of each output against the
@@ -131,19 +136,26 @@ class _LossScorer:
         self._layer = layer
         self._target = cache.outputs_full.astype(np.float64)
         self._on_error = on_error
-        # expert e's output is rows [j*N, (j+1)*N) of the store for j =
-        # _slots[e]; and whether it is all finite, once a set of two or more
-        # has kept it
-        self._store = np.empty((0, layer.hidden_dim), dtype=np.float32)
+        # expert e's output is rows [j*N, (j+1)*N) of the store for j = _slots[e]
+        self._store = _NO_STORE
         self._slots: dict[int, int] = {}
-        self._finite: dict[int, bool] = {}
+        # whether expert e's output is known to be all finite; an output is the
+        # same whenever it is computed, so this outlives a drop
+        self._finite = np.zeros(layer.n_experts, dtype=bool)
 
     def _held(self, e: int) -> np.ndarray:
         j, n_rows = self._slots[e], self._cache.n_tokens
         return self._store[j * n_rows : (j + 1) * n_rows]
 
     def _apply(self, e: int) -> np.ndarray:
-        """Expert e's output, computed into the first free block of the store."""
+        """Expert e's output, computed into the first free block of the store.
+        With an empty store, the call is one set of e alone and holds
+        nothing, and the output `apply` returns becomes a one-block store: a
+        search of single one-expert sets allocates no store of its own."""
+        if not len(self._store):
+            self._slots[e] = 0
+            self._store = self._layer.experts[e].apply(self._cache.inputs)
+            return self._store
         used = set(self._slots.values())
         self._slots[e] = next(j for j in itertools.count() if j not in used)
         return self._layer.experts[e].apply(self._cache.inputs, out=self._held(e))
@@ -161,42 +173,49 @@ class _LossScorer:
 
         Each row must be ascending, unique and in range; nothing is checked.
         """
-        n_rows = self._cache.n_tokens
         kept = np.zeros(self._layer.n_experts, dtype=bool)
         kept[subsets] = True
         self._slots = {e: j for e, j in self._slots.items() if kept[e]}
-        n_kept = int(np.count_nonzero(kept))
-        if n_kept * n_rows > len(self._store):  # the held outputs move to the first blocks
-            store = np.empty((n_kept * n_rows, self._layer.hidden_dim), dtype=np.float32)
-            for j, e in enumerate(self._slots):
-                store[j * n_rows : (j + 1) * n_rows] = self._held(e)
-            self._store, self._slots = store, {e: j for j, e in enumerate(self._slots)}
+        if not self._slots:  # nothing held: the store is made anew for this call
+            self._store = _NO_STORE
+        n_rows = self._cache.n_tokens
+        if subsets.size > 1:  # a block for each kept expert
+            n_kept = int(np.count_nonzero(kept))
+            if n_kept * n_rows > len(self._store):  # the held outputs move to the first blocks
+                store = np.empty((n_kept * n_rows, self._layer.hidden_dim), dtype=np.float32)
+                for j, e in enumerate(self._slots):
+                    store[j * n_rows : (j + 1) * n_rows] = self._held(e)
+                self._store, self._slots = store, {e: j for j, e in enumerate(self._slots)}
+        finite = True
         if subsets.shape[1] > 1:  # the gathered combine reads every kept output
             for e in np.flatnonzero(kept).tolist():
                 out = self._output(e)
-                if e not in self._finite:
-                    self._finite[e] = bool(np.isfinite(out).all())
+                if not self._finite[e]:
+                    self._finite[e] = np.isfinite(out).all()
+            finite = bool(self._finite[kept].all())
         per_batch = max(1, _BATCH_LOGITS // (n_rows * subsets.shape[1]))
         out = np.empty(len(subsets), dtype=np.float64)
         for start in range(0, len(subsets), per_batch):
             batch = subsets[start : start + per_batch]
-            out[start : start + len(batch)] = self._batch_losses(batch)
+            out[start : start + len(batch)] = self._batch_losses(batch, finite)
         return out
 
-    def _batch_losses(self, batch: np.ndarray) -> list[float]:
-        # one routing call; then each set's prediction is made, scored and
-        # dropped before the next one's, and the weights die on return
-        losses = self._gathered_losses(batch) if batch.shape[1] > 1 else None
+    def _batch_losses(self, batch: np.ndarray, finite: bool) -> list[float]:
+        # one routing call, or two for a batch scored densely; then each set's
+        # prediction is made, scored and dropped before the next one's, and
+        # the weights die on return
+        losses = self._gathered_losses(batch, finite) if batch.shape[1] > 1 else None
         if losses is None:
             weights = _route_batch(self._layer, batch, self._cache.inputs)
             losses = [self._error(w, idx).sum() for w, idx in zip(weights, batch.tolist())]
         return losses
 
-    def _gathered_losses(self, batch: np.ndarray) -> list[float] | None:
-        """The batch's losses from the rank-major routing, or None if a
-        weight is not finite."""
+    def _gathered_losses(self, batch: np.ndarray, finite: bool) -> list[float] | None:
+        """The batch's losses from the rank-major routing, or None when it
+        must be scored densely: `finite` is whether every output the call
+        keeps is all finite."""
         order, top = _route_ranked(self._layer, batch, self._cache.inputs)
-        if not np.isfinite(top).all():
+        if not (finite and np.isfinite(top).all()):
             return None
         n_sets, s = batch.shape
         n_rows, k = self._cache.n_tokens, len(order)
@@ -206,24 +225,15 @@ class _LossScorer:
             top = np.take_along_axis(top, pos, axis=0)
             del pos
         # the store row of each term: its expert's block, then its token
-        sets = batch.tolist()
-        blocks = np.array([[self._slots[e] * n_rows for e in idx] for idx in sets])
+        blocks = np.array([[self._slots[e] * n_rows for e in idx] for idx in batch.tolist()])
         order = order.reshape(k, n_sets, n_rows)
         order += (np.arange(n_sets) * s)[:, None]
         rows = np.take(blocks, order)
         del order
         rows += np.arange(n_rows)
         top = top.reshape(k, n_sets, n_rows, 1)
-
-        def set_error(b: int, idx: list[int]) -> np.ndarray:
-            if all(self._finite[e] for e in idx):
-                return _sq_error(self._gather(rows[:, b], top[:, b]), self._target)
-            # an output with a non-finite value, which `_combine` multiplies by
-            # its zero weights too
-            weights = _route_batch(self._layer, batch[b : b + 1], self._cache.inputs)[0]
-            return self._error(weights, idx)
-
-        return [set_error(b, idx).sum() for b, idx in enumerate(sets)]
+        return [_sq_error(self._gather(rows[:, b], top[:, b]), self._target).sum()
+                for b in range(n_sets)]
 
     def _gather(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """One set's prediction: the sum over j of its store rows `rows[j]`

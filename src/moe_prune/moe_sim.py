@@ -335,28 +335,35 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-values, axis=-1, kind="stable")[..., :k]
 
 
-def _route_ranked(
-    layer: MoELayer, idx: np.ndarray, inputs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-major routing of B kept sets `idx` [B, s]: `order`, each
-    token's top-k columns of its set (largest logit first), and `top`, their
-    renormalized weights, both [k, B*N], token u = b*N + t being token t of
-    set b; k = min(top_k, s).
+def _logits(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Router logits [B, N, s] of B kept sets `idx` [B, s] for `inputs`.
 
     Each row of `idx` must be ascending, unique and in range, and `inputs` a
     checked f32 [N, hidden_dim] array; nothing is checked here. Set b's
     logits are the product of the inputs with its kept router rows, taken
     for all B sets by one `np.matmul`: the gufunc makes, for each set, the
     BLAS call the 2-D product makes (same shape, same transpose flags, all
-    N rows), so every set's logits keep their bits whatever B is. The top-k
-    order is `_top_k` of each token's logits, as in the token-major
-    formula. Everything after the top-k runs rank-major on [k, B*N]
-    arrays gathered through flat indices: reductions over a long axis are
-    far cheaper in numpy than over a length-k one, and give the same
-    values. Every step is per token, so a set's weights do not depend on
-    the other sets in the batch.
+    N rows), so every set's logits keep their bits whatever B is.
     """
-    logits = np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))  # [B, N, s]
+    return np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))
+
+
+def _route_ranked(
+    layer: MoELayer, idx: np.ndarray, inputs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-major routing of B kept sets `idx` [B, s] (see `_logits`):
+    `order`, each token's top-k columns of its set (largest logit first),
+    and `top`, their renormalized weights, both [k, B*N], token u = b*N + t
+    being token t of set b; k = min(top_k, s).
+
+    The top-k order is `_top_k` of each token's logits, as in the
+    token-major formula. Everything after the top-k runs rank-major on
+    [k, B*N] arrays gathered through flat indices: reductions over a long
+    axis are far cheaper in numpy than over a length-k one, and give the
+    same values. Every step is per token, so a set's weights do not depend
+    on the other sets in the batch.
+    """
+    logits = _logits(layer, idx, inputs)  # [B, N, s]
     s = logits.shape[2]
     k_sel = min(layer.top_k, s)
     # the restricted softmax ranks as the logits do; column order is expert order
@@ -381,17 +388,17 @@ def _route_ranked(
 def _route_batch(layer: MoELayer, idx: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Routing weights [B, s, N] of B kept sets `idx` [B, s] for `inputs`:
     `_route_ranked`'s weights scattered into their columns, zero elsewhere,
-    for `_combine`: the pruned-layer forward's, and the scorer's for what it
-    scores densely.
+    for `_combine`: the pruned-layer forward's, and the scorer's for
+    one-expert sets and for what it scores densely.
 
-    The same preconditions as `_route_ranked`. With one kept expert (s = 1)
-    the weight is just exp(l - l) / exp(l - l): exactly 1 for a finite logit
-    l, NaN otherwise; there is nothing to sort, gather or scatter.
+    The same preconditions as `_logits`. With one kept expert (s = 1) the
+    weight is just exp(l - l) / exp(l - l): exactly 1 for a finite logit l,
+    NaN otherwise; there is nothing to sort, gather or scatter.
     """
     n_sets, s = idx.shape
     n_rows = inputs.shape[0]
     if s == 1:
-        logits = np.matmul(inputs, layer.router[idx].transpose(0, 2, 1))
+        logits = _logits(layer, idx, inputs)
         weights = np.exp(logits - logits)
         return np.divide(weights, weights, out=weights).reshape(n_sets, 1, n_rows)
     order, top = _route_ranked(layer, idx, inputs)

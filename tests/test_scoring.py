@@ -265,8 +265,9 @@ def test_gathered_combine_matches_dense_combine(data):
     still bit for bit those of `_combine` on `_route_batch`'s dense weights,
     at top_k 1, 2, 3, 6 and 8 and s from 2 to n (s <= top_k too), on logits
     that tie and on weights that underflow to 0. A batch with a non-finite
-    weight (an overflowing router row), and a set that keeps an output with
-    a non-finite value (an overflowing expert), take `_combine` itself."""
+    weight (an overflowing router row), or one whose call keeps an output
+    with a non-finite value (an overflowing expert), takes `_combine`
+    itself, every set of it."""
     top_k = data.draw(st.sampled_from([1, 2, 3, 6, 8]))
     if data.draw(st.booleans()):
         layer, cache = data.draw(tied_layers_and_caches(min_n=max(2, top_k)))
@@ -314,10 +315,9 @@ def test_gathered_combine_matches_dense_combine(data):
             want = sq_error(combine(layer, w, idx, outputs.__getitem__), target)
             assert got.tobytes() == want.tobytes()
             assert loss.tobytes() == want.sum().tobytes()
-    finite = [np.isfinite(outputs[e]).all() for e in range(n)]
-    dense = [idx for idx in rows
-             if not np.isfinite(weights).all() or not all(finite[e] for e in idx)]
-    assert combined == dense
+    finite = np.isfinite(weights).all() and all(
+        np.isfinite(outputs[e]).all() for e in set().union(*rows))
+    assert combined == ([] if finite else rows)
 
 
 @pytest.mark.parametrize("budget", [1, 2**62], ids=["one_set_per_batch", "unlimited"])
@@ -482,13 +482,14 @@ def test_scorer_checks_once_per_search_and_kept_sets_per_call(rng, monkeypatch):
 def watch_store(monkeypatch):
     """From now on, every expert applied to a search's inputs, in order, and
     the largest number of outputs the scorer's store held at once: the
-    blocks of the store each output is written into."""
+    blocks of the store each output is written into, or one for an output
+    that becomes the store."""
     applied, peak = [], [0]
     apply = ExpertTransform.apply
 
     def counting_apply(self, x, out=None):
         applied.append(self)
-        peak[0] = max(peak[0], out.base.nbytes // out.nbytes)
+        peak[0] = max(peak[0], 1 if out is None else out.base.nbytes // out.nbytes)
         return apply(self, x, out)
 
     monkeypatch.setattr(ExpertTransform, "apply", counting_apply)

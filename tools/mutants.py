@@ -123,13 +123,11 @@ MUTANTS = {
         "metrics.py", "n_kept = int(np.count_nonzero(kept))", "n_kept = self._layer.n_experts",
     ),
     # the gathered combine: top_k >= 3 terms summed in rank order, not expert
-    # order; and non-finite weights or outputs not sent to the dense combine
+    # order; and a batch with a non-finite weight or output not sent to the
+    # dense combine
     "gather-rank-order": ("metrics.py", "if k > 2:", "if False:"),
-    "gather-no-nonfinite-weight-guard": (
-        "metrics.py", "if not np.isfinite(top).all():", "if False:",
-    ),
-    "gather-no-nonfinite-output-guard": (
-        "metrics.py", "if all(self._finite[e] for e in idx):", "if True:",
+    "gather-no-nonfinite-guard": (
+        "metrics.py", "if not (finite and np.isfinite(top).all()):", "if False:",
     ),
     # a one-expert set's squared error is its loss and its performance row:
     # here each row gets the previous expert's
